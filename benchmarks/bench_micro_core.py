@@ -5,11 +5,11 @@ numbers: offline random walk, closeness extraction, HMM build, and the
 three decoding algorithms on one fixed query.
 
 The second half is the **decode-lane comparison**: a dense synthetic
-n=200 HMM pushed through every reference/vectorized lane pair, with
-bit-identity asserted (the ref/vec twins must agree exactly — see
-``tests/decode_oracle.py``) and cold single-query p50 speedups asserted
-(≥5x for the Viterbi lanes; A* expands only ~k·m nodes so its floor is
-lower).  Script mode::
+n=200 HMM pushed through each production decoder and the plain-Python
+reference loop kept beside it in ``tests/decode_oracle.py``, with
+bit-identity asserted (each pair must agree exactly) and cold
+single-query p50 speedups asserted (≥5x for the Viterbi lanes; A*
+expands only ~k·m nodes so its floor is lower).  Script mode::
 
     PYTHONPATH=src python benchmarks/bench_micro_core.py \\
         --smoke --out BENCH_micro_core.json
@@ -18,60 +18,57 @@ runs the comparison standalone and writes the per-lane numbers as JSON
 for the CI artifact.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.astar import (
-    astar_topk,
-    astar_topk_log,
-    astar_topk_vec,
-    astar_topk_vec_log,
-)
+from repro.core.astar import astar_topk
 from repro.core.candidates import CandidateState, StateKind
 from repro.core.enumeration import RankBasedReformulator
 from repro.core.hmm import ReformulationHMM
-from repro.core.viterbi import (
-    viterbi_top1,
-    viterbi_top1_vec,
-    viterbi_topk,
-    viterbi_topk_log,
-    viterbi_topk_vec,
-    viterbi_topk_vec_log,
-)
+from repro.core.viterbi import viterbi_topk
 from repro.graph.closeness import ClosenessExtractor
 from repro.graph.randomwalk import RandomWalkEngine
 from repro.graph.similarity import SimilarityExtractor
 from repro.index.inverted import InvertedIndex
 
+# The reference loops live with the oracle under tests/.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.decode_oracle import (  # noqa: E402
+    reference_astar_topk,
+    reference_viterbi_topk,
+)
+
 # --------------------------------------------------------------------------- #
-# decode-lane comparison (reference vs vectorized)
+# decode-lane comparison (reference loop vs production decoder)
 # --------------------------------------------------------------------------- #
 
-#: (lane, reference fn, vectorized fn, minimum cold p50 speedup).
-#: Measured on the n=200/m=4/k=10 instance: top1 ~11x, topk ~7x,
+#: (lane, reference fn, production fn, minimum cold p50 speedup).
+#: Measured on the n=200/m=4/k=10 instance: top-1 ~11x, topk ~7x,
 #: astar ~3.5-4x; the asserted floors leave headroom for CI noise.
 LANES = [
-    ("viterbi_top1",
-     lambda hmm, k: [viterbi_top1(hmm)],
-     lambda hmm, k: [viterbi_top1_vec(hmm)],
+    ("viterbi_topk@k=1",
+     lambda hmm, k: reference_viterbi_topk(hmm, 1),
+     lambda hmm, k: viterbi_topk(hmm, 1),
      5.0),
     ("viterbi_topk",
+     lambda hmm, k: reference_viterbi_topk(hmm, k),
      lambda hmm, k: viterbi_topk(hmm, k),
-     lambda hmm, k: viterbi_topk_vec(hmm, k),
      5.0),
     ("viterbi_topk_log",
-     lambda hmm, k: viterbi_topk_log(hmm, k),
-     lambda hmm, k: viterbi_topk_vec_log(hmm, k),
+     lambda hmm, k: reference_viterbi_topk(hmm, k, log_space=True),
+     lambda hmm, k: viterbi_topk(hmm, k, log_space=True),
      5.0),
     ("astar",
+     lambda hmm, k: reference_astar_topk(hmm, k),
      lambda hmm, k: astar_topk(hmm, k).queries,
-     lambda hmm, k: astar_topk_vec(hmm, k).queries,
      1.5),
     ("astar_log",
-     lambda hmm, k: astar_topk_log(hmm, k).queries,
-     lambda hmm, k: astar_topk_vec_log(hmm, k).queries,
+     lambda hmm, k: reference_astar_topk(hmm, k, log_space=True),
+     lambda hmm, k: astar_topk(hmm, k, log_space=True).queries,
      1.5),
 ]
 
@@ -119,23 +116,24 @@ def _signature(queries):
 def compare_lanes(n: int = 200, m: int = 4, k: int = 10, rounds: int = 3):
     """p50-per-lane comparison on one dense instance.
 
-    Asserts the ref/vec twins are bit-identical before timing anything —
-    a fast wrong lane is not a speedup.  Returns the per-lane report.
+    Asserts each reference/production pair is bit-identical before
+    timing anything — a fast wrong decoder is not a speedup.  Returns the
+    per-lane report.
     """
     hmm = make_dense_hmm(n=n, m=m, seed=0)
     hmm.log_transitions  # warm the cached log lane out-of-band
     report = {"n": n, "m": m, "k": k, "rounds": rounds, "lanes": {}}
-    for name, ref, vec in [(t[0], t[1], t[2]) for t in LANES]:
-        assert _signature(ref(hmm, k)) == _signature(vec(hmm, k)), (
-            f"{name}: ref/vec twins diverged"
+    for name, ref, prod, _floor in LANES:
+        assert _signature(ref(hmm, k)) == _signature(prod(hmm, k)), (
+            f"{name}: reference loop and production decoder diverged"
         )
-    for name, ref, vec, _floor in LANES:
+    for name, ref, prod, _floor in LANES:
         ref_p50 = _p50(lambda: ref(hmm, k), rounds)
-        vec_p50 = _p50(lambda: vec(hmm, k), rounds)
+        prod_p50 = _p50(lambda: prod(hmm, k), rounds)
         report["lanes"][name] = {
             "reference_p50_ms": ref_p50 * 1000.0,
-            "vectorized_p50_ms": vec_p50 * 1000.0,
-            "speedup": ref_p50 / vec_p50,
+            "production_p50_ms": prod_p50 * 1000.0,
+            "speedup": ref_p50 / prod_p50,
         }
     return report
 
@@ -145,13 +143,13 @@ def _print_report(report) -> None:
           f"k={report['k']} ({report['rounds']} rounds, p50):")
     for name, row in report["lanes"].items():
         print(f"  {name:18s} ref {row['reference_p50_ms']:9.2f} ms  "
-              f"vec {row['vectorized_p50_ms']:8.2f} ms  "
+              f"prod {row['production_p50_ms']:8.2f} ms  "
               f"{row['speedup']:6.1f}x")
 
 
 def _check_floors(report) -> bool:
     ok = True
-    for name, _ref, _vec, floor in LANES:
+    for name, _ref, _prod, floor in LANES:
         speedup = report["lanes"][name]["speedup"]
         if speedup < floor:
             print(f"  FAIL {name}: {speedup:.1f}x < required {floor:.1f}x")
@@ -160,7 +158,7 @@ def _check_floors(report) -> bool:
 
 
 def test_bench_decode_lane_speedup_n200(benchmark):
-    """Cold single-query p50 at n=200: vectorized lanes vs reference.
+    """Cold single-query p50 at n=200: production decoders vs reference.
 
     The ≥5x floor on the Viterbi lanes is the tentpole acceptance
     criterion; A* gets a lower floor because its expansion count is
@@ -233,44 +231,30 @@ def test_bench_hmm_build(benchmark, context, fixed_query):
     assert hmm.length == len(fixed_query)
 
 
-def test_bench_viterbi_top1(benchmark, fixed_hmm):
-    result = benchmark(lambda: viterbi_top1(fixed_hmm))
-    assert result.score >= 0
-
-
-def test_bench_viterbi_top1_vec(benchmark, fixed_hmm):
-    expected = viterbi_top1(fixed_hmm)
-    result = benchmark(lambda: viterbi_top1_vec(fixed_hmm))
-    assert (result.state_path, result.score) == (
-        expected.state_path, expected.score,
+def test_bench_viterbi_topk_k1(benchmark, fixed_hmm):
+    result = benchmark(lambda: viterbi_topk(fixed_hmm, 1))
+    assert _signature(result) == _signature(
+        reference_viterbi_topk(fixed_hmm, 1)
     )
 
 
 def test_bench_alg2_viterbi_topk(benchmark, fixed_hmm):
     result = benchmark(lambda: viterbi_topk(fixed_hmm, 10))
-    assert result
-
-
-def test_bench_alg2_viterbi_topk_vec(benchmark, fixed_hmm):
-    result = benchmark(lambda: viterbi_topk_vec(fixed_hmm, 10))
-    assert _signature(result) == _signature(viterbi_topk(fixed_hmm, 10))
+    assert _signature(result) == _signature(
+        reference_viterbi_topk(fixed_hmm, 10)
+    )
 
 
 def test_bench_alg3_astar_topk(benchmark, fixed_hmm):
     result = benchmark(lambda: astar_topk(fixed_hmm, 10))
-    assert result.queries
-
-
-def test_bench_alg3_astar_topk_vec(benchmark, fixed_hmm):
-    result = benchmark(lambda: astar_topk_vec(fixed_hmm, 10))
     assert _signature(result.queries) == _signature(
-        astar_topk(fixed_hmm, 10).queries
+        reference_astar_topk(fixed_hmm, 10)
     )
 
 
 def test_bench_alg2_viterbi_topk_log(benchmark, fixed_hmm):
     fixed_hmm.log_transitions  # warm the cached log lane out-of-band
-    result = benchmark(lambda: viterbi_topk_log(fixed_hmm, 10))
+    result = benchmark(lambda: viterbi_topk(fixed_hmm, 10, log_space=True))
     assert [q.state_path for q in result] == [
         q.state_path for q in viterbi_topk(fixed_hmm, 10)
     ]
@@ -278,7 +262,7 @@ def test_bench_alg2_viterbi_topk_log(benchmark, fixed_hmm):
 
 def test_bench_alg3_astar_topk_log(benchmark, fixed_hmm):
     fixed_hmm.log_transitions  # warm the cached log lane out-of-band
-    result = benchmark(lambda: astar_topk_log(fixed_hmm, 10))
+    result = benchmark(lambda: astar_topk(fixed_hmm, 10, log_space=True))
     assert [q.state_path for q in result.queries] == [
         q.state_path for q in astar_topk(fixed_hmm, 10).queries
     ]

@@ -10,6 +10,14 @@ components (``candidates.build`` + ``ReformulationHMM.build`` +
 ``astar_topk`` + ``_postprocess``), which carry no instrumentation at
 all.
 
+That baseline also does more work than the path it guards: it rebuilds
+the candidate lists and the HMM on every call, while ``reformulate``
+assembles them from the plan cache.  The measured "overhead" is
+therefore strongly negative (about -85% on the small corpus, measured
+on a 2-vCPU Intel Xeon), so this guard cannot detect an instrumentation
+cost that stays below the plan-cache saving.  A tighter baseline would
+decode the same plan-cached HMM without spans.
+
 Interleaved best-of-N timing: both variants run round-robin within the
 same measurement window, and each variant's score is its *minimum*
 per-call time — the standard way to strip scheduler noise from a

@@ -35,12 +35,8 @@ from repro.core import (
     ScoredQuery,
     SuggestionExplanation,
     astar_topk,
-    astar_topk_vec,
     brute_force_topk,
-    viterbi_top1,
-    viterbi_top1_vec,
     viterbi_topk,
-    viterbi_topk_vec,
 )
 from repro.data import (
     SynthConfig,
@@ -93,12 +89,8 @@ __all__ = [
     "PositionBreakdown",
     "SuggestionExplanation",
     "astar_topk",
-    "astar_topk_vec",
     "brute_force_topk",
-    "viterbi_top1",
-    "viterbi_top1_vec",
     "viterbi_topk",
-    "viterbi_topk_vec",
     "SynthConfig",
     "SynthesizedCorpus",
     "TopicModel",

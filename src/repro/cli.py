@@ -110,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reformulate.add_argument("--candidates", type=int, default=15)
     reformulate.add_argument(
-        "--decode-impl", choices=("vectorized", "reference"),
-        default="vectorized",
-        help="decode lane: batched numpy (default) or the plain-Python "
-             "reference lane (bit-identical results)",
-    )
-    reformulate.add_argument(
         "--batch", default=None, metavar="FILE",
         help="serve every query in FILE (one per line) through the "
              "batched fast path instead of the positional keywords",
@@ -169,12 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="astar",
     )
     explain.add_argument("--candidates", type=int, default=15)
-    explain.add_argument(
-        "--decode-impl", choices=("vectorized", "reference"),
-        default="vectorized",
-        help="decode lane: batched numpy (default) or the plain-Python "
-             "reference lane (bit-identical results)",
-    )
     explain.add_argument(
         "--relations", default=None,
         help="precomputed term-relation store to serve from",
@@ -301,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--candidates", type=int, default=15)
     serve.add_argument(
-        "--decode-impl", choices=("vectorized", "reference"),
-        default="vectorized",
-        help="decode lane for the online stage (bit-identical results)",
-    )
-    serve.add_argument(
         "--max-concurrency", type=int, default=8,
         help="requests decoded at once (admission semaphore permits)",
     )
@@ -413,10 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--candidates", type=int, default=15)
     trace.add_argument(
-        "--decode-impl", choices=("vectorized", "reference"),
-        default="vectorized",
-    )
-    trace.add_argument(
         "--relations", default=None,
         help="precomputed term-relation store for --explain",
     )
@@ -523,7 +502,6 @@ def _build_reformulator(args, database: Database) -> Reformulator:
         method=args.method,
         n_candidates=args.candidates,
         enable_plan_cache=not getattr(args, "no_plan_cache", False),
-        decode_impl=getattr(args, "decode_impl", "vectorized"),
     )
     if args.relations:
         store = TermRelationStore.load(args.relations, graph)
@@ -751,7 +729,6 @@ def cmd_serve(args, out) -> int:
             method=args.method,
             n_candidates=args.candidates,
             result_cache_size=args.result_cache,
-            decode_impl=args.decode_impl,
         ),
         relations=args.relations,
     )

@@ -1,14 +1,6 @@
 """Online query-reformulation core: HMM, Viterbi, A*, baselines."""
 
-from repro.core.astar import (
-    AStarOutcome,
-    astar_topk,
-    astar_topk_log,
-    astar_topk_vec,
-    astar_topk_vec_log,
-    backward_heuristic,
-    backward_heuristic_log,
-)
+from repro.core.astar import AStarOutcome, astar_topk, backward_heuristic
 from repro.core.candidates import (
     CandidateListBuilder,
     CandidateState,
@@ -31,10 +23,10 @@ from repro.core.queryparse import ParsedQuery, QueryParser
 from repro.core.hmm import IndexFrequency, ReformulationHMM
 from repro.core.reformulator import (
     ALGORITHMS,
-    DECODE_IMPLS,
     METHODS,
     Reformulator,
     ReformulatorConfig,
+    decode_topk,
 )
 from repro.core.scoring import (
     ScoredQuery,
@@ -43,28 +35,12 @@ from repro.core.scoring import (
     smooth_factors,
     smooth_rows,
 )
-from repro.core.viterbi import (
-    ViterbiTable,
-    viterbi_table,
-    viterbi_table_log,
-    viterbi_top1,
-    viterbi_top1_log,
-    viterbi_top1_vec,
-    viterbi_top1_vec_log,
-    viterbi_topk,
-    viterbi_topk_log,
-    viterbi_topk_vec,
-    viterbi_topk_vec_log,
-)
+from repro.core.viterbi import viterbi_topk
 
 __all__ = [
     "AStarOutcome",
     "astar_topk",
-    "astar_topk_log",
-    "astar_topk_vec",
-    "astar_topk_vec_log",
     "backward_heuristic",
-    "backward_heuristic_log",
     "CandidateListBuilder",
     "CandidateState",
     "StateKind",
@@ -83,24 +59,14 @@ __all__ = [
     "IndexFrequency",
     "ReformulationHMM",
     "ALGORITHMS",
-    "DECODE_IMPLS",
     "METHODS",
     "Reformulator",
     "ReformulatorConfig",
+    "decode_topk",
     "ScoredQuery",
     "aggregate_similarity",
     "normalize_distribution",
     "smooth_factors",
     "smooth_rows",
-    "ViterbiTable",
-    "viterbi_table",
-    "viterbi_table_log",
-    "viterbi_top1",
-    "viterbi_top1_log",
-    "viterbi_top1_vec",
-    "viterbi_top1_vec_log",
     "viterbi_topk",
-    "viterbi_topk_log",
-    "viterbi_topk_vec",
-    "viterbi_topk_vec_log",
 ]

@@ -17,40 +17,33 @@ the (equivalent, mirrored) backward Viterbi and grow paths from the head —
 *i* of step *c*.  Both formulations visit the same number of states and
 return the same queries.
 
-Decode lanes and tie-breaks
----------------------------
+Frontier and tie-breaks
+-----------------------
 The heap is keyed ``(-priority, path)``: among equal potentials the
 lexicographically smallest partial path pops first, which makes the
 sequence of completed paths — and therefore the returned top-k — follow
 the repo-wide contract ``(score desc, path lex asc)`` deterministically
-(see :mod:`repro.core.viterbi` for the full contract).  A partial path
-is always a strict lexicographic prefix-extension of its parent, so
-completions of a smaller prefix surface before completions of an
-equally-ranked larger one.
+(see :mod:`repro.core.viterbi` for the full contract).
 
-:func:`astar_topk` is the reference lane (``decode_impl="reference"``):
-it eagerly pushes every extension of a popped path with scalar Python
-arithmetic.  :func:`astar_topk_vec` is the vectorized lane: one batched
-numpy product scores all extensions of a popped path across the
-candidate axis at once, and the frontier is kept *lazy* — children are
-pushed in best-first order and each child materializes its next sibling
-only when popped.  The heap therefore holds ~2 entries per expansion
-instead of ``n``, a beam-style frontier pruning driven by the Eq 10
-admissible backward heuristic that remains exact: the pop sequence is
-provably identical to the eager reference lane, so results are
-bit-identical (both lanes score extensions ``(g · trans) · emis``).
+One batched numpy product scores all extensions of a popped path across
+the candidate axis at once, and the frontier is kept *lazy*: children
+are sorted best-first (stable, so ties fall to the lowest candidate
+index), only the best child is pushed, and a popped child pushes its
+next sibling.  A deferred sibling's heap key is never smaller than its
+predecessor's, so the pop sequence is the one an eager search that
+pushes every extension would produce — ``tests/decode_oracle.py`` keeps
+that eager loop as the reference and proves the results bit-identical —
+while the heap holds ~2 entries per expansion instead of ``n``.
 
 The two stage timings are surfaced separately because Figure 8 of the
 paper reports them separately.
 
-:func:`astar_topk_log` / :func:`astar_topk_vec_log` are the same search
-in log space: potentials are sums of ``log``-matrices instead of
-products, so deep queries cannot underflow the priority to an
-indistinguishable 0 and the per-extension multiplications become
-additions over matrices that were logged once (cached in the HMM's log
-lane, pre-seeded by the serving plan cache).  A ``-inf`` potential is
-the log-space image of zero potential.  Returned queries are re-scored
-with Eq 10 in probability space.
+With ``log_space=True`` potentials are sums of ``log``-matrices instead
+of products, so deep queries cannot underflow the priority to an
+indistinguishable 0 (the matrices are logged once, cached in the HMM's
+log lane and pre-seeded by the serving plan cache).  A ``-inf``
+potential is the log-space image of zero potential.  Returned queries
+are re-scored with Eq 10 in probability space.
 """
 
 from __future__ import annotations
@@ -64,6 +57,7 @@ import numpy as np
 
 from repro.core.hmm import ReformulationHMM
 from repro.core.scoring import ScoredQuery
+from repro.core.viterbi import hmm_space
 from repro.errors import ReformulationError
 
 
@@ -76,7 +70,6 @@ class AStarOutcome:
     astar_seconds: float
     expanded: int  # number of partial paths popped from IP
     pushed: int = 0  # partial paths ever pushed onto IP
-    pruned: int = 0  # kept for API compatibility; lex-exact lanes never drop
 
     @property
     def total_seconds(self) -> float:
@@ -84,140 +77,23 @@ class AStarOutcome:
         return self.viterbi_seconds + self.astar_seconds
 
 
-def backward_heuristic(hmm: ReformulationHMM) -> List[np.ndarray]:
-    """h[c][i]: max achievable product over steps c+1..m-1 given state i
-    at step c (already excluding step c's own emission)."""
-    h: List[np.ndarray] = [np.ones(hmm.n_states(c)) for c in range(hmm.length)]
+def backward_heuristic(
+    hmm: ReformulationHMM, log_space: bool = False
+) -> List[np.ndarray]:
+    """h[c][i]: max achievable product (log-sum with ``log_space``) over
+    steps c+1..m-1 given state i at step c, excluding step c's own
+    emission."""
+    _pi, emissions, transitions, combine = hmm_space(hmm, log_space)
+    unit = np.zeros if log_space else np.ones
+    h: List[np.ndarray] = [unit(hmm.n_states(c)) for c in range(hmm.length)]
     for step in range(hmm.length - 2, -1, -1):
-        trans = hmm.transitions[step]          # (n_step, n_{step+1})
-        emis = hmm.emissions[step + 1]
-        future = trans * (emis * h[step + 1])[None, :]
+        # (n_step, n_{step+1}) suffix scores through each next state
+        future = combine(
+            transitions[step], combine(emissions[step + 1], h[step + 1])[None, :]
+        )
         h[step] = future.max(axis=1)
     return h
 
-
-def backward_heuristic_log(hmm: ReformulationHMM) -> List[np.ndarray]:
-    """Log-space twin of :func:`backward_heuristic`: max achievable
-    log-score of the suffix starting at each (step, state)."""
-    h: List[np.ndarray] = [
-        np.zeros(hmm.n_states(c)) for c in range(hmm.length)
-    ]
-    for step in range(hmm.length - 2, -1, -1):
-        trans = hmm.log_transitions[step]      # (n_step, n_{step+1})
-        emis = hmm.log_emissions[step + 1]
-        future = trans + (emis + h[step + 1])[None, :]
-        h[step] = future.max(axis=1)
-    return h
-
-
-def astar_topk(hmm: ReformulationHMM, k: int) -> AStarOutcome:
-    """Run Algorithm 3 (reference lane) — the exact top-k reformulations."""
-    if k < 1:
-        raise ReformulationError("k must be >= 1")
-
-    t0 = time.perf_counter()
-    h = backward_heuristic(hmm)
-    t1 = time.perf_counter()
-
-    # Priority queue of incomplete paths IP; heapq is a min-heap so we
-    # store negated priorities.  The path tuple itself is the tiebreaker:
-    # equal potentials pop in lexicographic path order.
-    ip: List[Tuple[float, Tuple[int, ...], float]] = []
-    pushed = 0
-    for i in range(hmm.n_states(0)):
-        g = float(hmm.pi[i] * hmm.emissions[0][i])
-        priority = g * float(h[0][i])
-        heapq.heappush(ip, (-priority, (i,), g))
-        pushed += 1
-
-    complete: List[ScoredQuery] = []
-    expanded = 0
-    m = hmm.length
-    while ip and len(complete) < k:
-        _neg_priority, path, g = heapq.heappop(ip)
-        expanded += 1
-        step = len(path)
-        if step == m:
-            complete.append(hmm.scored_query(path))
-            continue
-        trans = hmm.transitions[step - 1]
-        last = path[-1]
-        emis = hmm.emissions[step]
-        for j in range(hmm.n_states(step)):
-            g_next = g * float(trans[last, j]) * float(emis[j])
-            priority = g_next * float(h[step][j])
-            heapq.heappush(ip, (-priority, path + (j,), g_next))
-            pushed += 1
-    t2 = time.perf_counter()
-
-    complete.sort(key=lambda q: (-q.score, q.state_path))
-    return AStarOutcome(
-        queries=complete,
-        viterbi_seconds=t1 - t0,
-        astar_seconds=t2 - t1,
-        expanded=expanded,
-        pushed=pushed,
-    )
-
-
-def astar_topk_log(hmm: ReformulationHMM, k: int) -> AStarOutcome:
-    """Algorithm 3 over summed log-probabilities (no underflow possible).
-
-    Mirrors :func:`astar_topk` exactly: identical expansion order up to
-    floating-point rounding of ``log``, identical lexicographic
-    tie-break, and the returned queries carry probability-space Eq 10
-    scores.
-    """
-    if k < 1:
-        raise ReformulationError("k must be >= 1")
-
-    t0 = time.perf_counter()
-    h = backward_heuristic_log(hmm)
-    t1 = time.perf_counter()
-
-    log_pi = hmm.log_pi
-    log_emis0 = hmm.log_emissions[0]
-    ip: List[Tuple[float, Tuple[int, ...], float]] = []
-    pushed = 0
-    for i in range(hmm.n_states(0)):
-        g = float(log_pi[i] + log_emis0[i])
-        priority = g + float(h[0][i])
-        heapq.heappush(ip, (-priority, (i,), g))
-        pushed += 1
-
-    complete: List[ScoredQuery] = []
-    expanded = 0
-    m = hmm.length
-    while ip and len(complete) < k:
-        _neg_priority, path, g = heapq.heappop(ip)
-        expanded += 1
-        step = len(path)
-        if step == m:
-            complete.append(hmm.scored_query(path))
-            continue
-        trans = hmm.log_transitions[step - 1]
-        last = path[-1]
-        emis = hmm.log_emissions[step]
-        for j in range(hmm.n_states(step)):
-            g_next = g + float(trans[last, j]) + float(emis[j])
-            priority = g_next + float(h[step][j])
-            heapq.heappush(ip, (-priority, path + (j,), g_next))
-            pushed += 1
-    t2 = time.perf_counter()
-
-    complete.sort(key=lambda q: (-q.score, q.state_path))
-    return AStarOutcome(
-        queries=complete,
-        viterbi_seconds=t1 - t0,
-        astar_seconds=t2 - t1,
-        expanded=expanded,
-        pushed=pushed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Vectorized lane: batched extension scoring + lazy sibling frontier
-# ---------------------------------------------------------------------------
 
 # A frontier context holds every child of one expanded path, scored in a
 # single batched product: (parent_path, order, gs, priorities) where
@@ -233,30 +109,20 @@ def _push_child(ip: list, ctx: _Ctx, rank: int) -> None:
     )
 
 
-def _astar_topk_vec(hmm: ReformulationHMM, k: int, log_space: bool) -> AStarOutcome:
-    """Shared vectorized core for :func:`astar_topk_vec` / ``_vec_log``.
-
-    Identical pop sequence to the eager reference lane: children of an
-    expanded path are sorted best-first (stable, so ties fall to the
-    lowest candidate index); only the best child is pushed, and a popped
-    child pushes its next sibling.  A deferred sibling's heap key is
-    never smaller than its predecessor's, so the global pop order — and
-    therefore the returned top-k — is unchanged while the heap stays
-    ~2 entries per expansion instead of ``n``.
-    """
+def astar_topk(
+    hmm: ReformulationHMM, k: int, log_space: bool = False
+) -> AStarOutcome:
+    """Run Algorithm 3 — the exact top-k reformulations, best first."""
     if k < 1:
         raise ReformulationError("k must be >= 1")
 
     t0 = time.perf_counter()
-    h = backward_heuristic_log(hmm) if log_space else backward_heuristic(hmm)
+    h = backward_heuristic(hmm, log_space)
     t1 = time.perf_counter()
 
-    if log_space:
-        g0 = np.asarray(hmm.log_pi + hmm.log_emissions[0], dtype=np.float64)
-        p0 = g0 + h[0]
-    else:
-        g0 = np.asarray(hmm.pi * hmm.emissions[0], dtype=np.float64)
-        p0 = g0 * h[0]
+    pi, emissions, transitions, combine = hmm_space(hmm, log_space)
+    g0 = np.asarray(combine(pi, emissions[0]), dtype=np.float64)
+    p0 = combine(g0, h[0])
 
     ip: list = []
     root_ctx: _Ctx = ((), np.argsort(-p0, kind="stable"), g0, p0)
@@ -277,14 +143,9 @@ def _astar_topk_vec(hmm: ReformulationHMM, k: int, log_space: bool) -> AStarOutc
         if step == m:
             complete.append(hmm.scored_query(path))
             continue
-        if log_space:
-            trans_row = hmm.log_transitions[step - 1][path[-1]]
-            gs = g + trans_row + hmm.log_emissions[step]
-            prios = gs + h[step]
-        else:
-            trans_row = hmm.transitions[step - 1][path[-1]]
-            gs = g * trans_row * hmm.emissions[step]
-            prios = gs * h[step]
+        trans_row = transitions[step - 1][path[-1]]
+        gs = combine(combine(g, trans_row), emissions[step])
+        prios = combine(gs, h[step])
         child_ctx: _Ctx = (path, np.argsort(-prios, kind="stable"), gs, prios)
         _push_child(ip, child_ctx, 0)
         pushed += 1
@@ -298,13 +159,3 @@ def _astar_topk_vec(hmm: ReformulationHMM, k: int, log_space: bool) -> AStarOutc
         expanded=expanded,
         pushed=pushed,
     )
-
-
-def astar_topk_vec(hmm: ReformulationHMM, k: int) -> AStarOutcome:
-    """Vectorized twin of :func:`astar_topk` (bit-identical results)."""
-    return _astar_topk_vec(hmm, k, log_space=False)
-
-
-def astar_topk_vec_log(hmm: ReformulationHMM, k: int) -> AStarOutcome:
-    """Vectorized twin of :func:`astar_topk_log` (bit-identical results)."""
-    return _astar_topk_vec(hmm, k, log_space=True)

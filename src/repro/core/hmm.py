@@ -185,7 +185,7 @@ class ReformulationHMM:
         matrices that were log-transformed once at plan-cache fill time.
 
         The assembled matrices are guaranteed float64 and C-contiguous:
-        the vectorized decode lanes (:mod:`repro.core.viterbi`,
+        the vectorized decoders (:mod:`repro.core.viterbi`,
         :mod:`repro.core.astar`) take whole-matrix products and row
         slices of them, and the layout guarantee keeps those batched
         operations on the no-copy fast path.  (``ascontiguousarray`` is

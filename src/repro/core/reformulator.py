@@ -31,13 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.core.astar import (
-    AStarOutcome,
-    astar_topk,
-    astar_topk_log,
-    astar_topk_vec,
-    astar_topk_vec_log,
-)
+from repro.core.astar import AStarOutcome, astar_topk
 from repro.core.candidates import CandidateListBuilder, CandidateState
 from repro.core.enumeration import RankBasedReformulator, brute_force_topk
 from repro.core.explain import (
@@ -47,14 +41,7 @@ from repro.core.explain import (
 )
 from repro.core.hmm import IndexFrequency, ReformulationHMM
 from repro.core.scoring import ScoredQuery
-from repro.core.viterbi import (
-    viterbi_top1,
-    viterbi_top1_vec,
-    viterbi_topk,
-    viterbi_topk_log,
-    viterbi_topk_vec,
-    viterbi_topk_vec_log,
-)
+from repro.core.viterbi import viterbi_topk
 from repro.errors import ReformulationError
 from repro.obs.trace import Tracer
 from repro.graph.closeness import ClosenessExtractor
@@ -71,24 +58,29 @@ METHODS = ("tat", "cooccurrence", "rank")
 ALGORITHMS = (
     "astar", "viterbi_topk", "brute_force", "astar_log", "viterbi_topk_log",
 )
-#: Decode lanes: "vectorized" (batched numpy, the default) and
-#: "reference" (plain Python loops, the auditable escape hatch).  Both
-#: lanes are bit-identical — enforced by tests/decode_oracle.py — so the
-#: choice never appears in plan-cache or result-cache keys.
-DECODE_IMPLS = ("vectorized", "reference")
 
-#: (algorithm, decode_impl) -> top-k decoder.  brute_force has a single
-#: implementation: it *is* the oracle the lanes are checked against.
-_TOPK_DECODERS = {
-    ("astar", "reference"): astar_topk,
-    ("astar", "vectorized"): astar_topk_vec,
-    ("astar_log", "reference"): astar_topk_log,
-    ("astar_log", "vectorized"): astar_topk_vec_log,
-    ("viterbi_topk", "reference"): viterbi_topk,
-    ("viterbi_topk", "vectorized"): viterbi_topk_vec,
-    ("viterbi_topk_log", "reference"): viterbi_topk_log,
-    ("viterbi_topk_log", "vectorized"): viterbi_topk_vec_log,
-}
+
+def decode_topk(
+    hmm: ReformulationHMM, k: int, algorithm: str
+) -> Tuple[List[ScoredQuery], Optional[AStarOutcome]]:
+    """Top-k paths of *hmm* under one of :data:`ALGORITHMS`, best first.
+
+    The second item is the A* outcome (stage timings and frontier
+    counters) for the ``astar*`` algorithms and ``None`` otherwise.
+    brute_force is the exhaustive oracle the decoders are checked
+    against.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ReformulationError(
+            f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}"
+        )
+    log_space = algorithm.endswith("_log")
+    if algorithm.startswith("astar"):
+        outcome = astar_topk(hmm, k, log_space=log_space)
+        return outcome.queries, outcome
+    if algorithm.startswith("viterbi_topk"):
+        return viterbi_topk(hmm, k, log_space=log_space), None
+    return brute_force_topk(hmm, k), None
 
 
 @dataclass(frozen=True)
@@ -121,10 +113,6 @@ class ReformulatorConfig:
     #: Capacity of the query-level result LRU kept by LiveReformulator
     #: (0 disables result caching; plain Reformulator has no result LRU).
     result_cache_size: int = 1024
-    #: Which decode lane runs the online stage: "vectorized" (batched
-    #: numpy) or "reference" (plain Python loops).  Bit-identical by
-    #: contract, so flipping this never changes results — only speed.
-    decode_impl: str = "vectorized"
 
     def validate(self) -> None:
         """Raise on out-of-range configuration values."""
@@ -140,11 +128,6 @@ class ReformulatorConfig:
             raise ReformulationError("plan cache capacities must be >= 1")
         if self.result_cache_size < 0:
             raise ReformulationError("result_cache_size must be >= 0")
-        if self.decode_impl not in DECODE_IMPLS:
-            raise ReformulationError(
-                f"unknown decode_impl {self.decode_impl!r}, "
-                f"expected one of {DECODE_IMPLS}"
-            )
 
     def plan_knobs(self) -> Tuple:
         """Fingerprint of every config value the cached plan blocks
@@ -503,15 +486,11 @@ class Reformulator:
                     )
                 sp.set_attribute("length", hmm.length)
                 sp.set_attribute("search_space", hmm.search_space)
-            impl = self.config.decode_impl
-            with span_fn("decode", algorithm=algorithm, impl=impl) as sp:
-                if algorithm in ("astar", "astar_log"):
-                    search = _TOPK_DECODERS[(algorithm, impl)]
-                    outcome = search(hmm, want)
-                    raw = outcome.queries
+            with span_fn("decode", algorithm=algorithm) as sp:
+                raw, outcome = decode_topk(hmm, want, algorithm)
+                if outcome is not None:
                     sp.set_attribute("expanded", outcome.expanded)
                     sp.set_attribute("pushed", outcome.pushed)
-                    sp.set_attribute("pruned", outcome.pruned)
                     if enabled:
                         registry = obs.registry()
                         registry.counter(
@@ -522,14 +501,6 @@ class Reformulator:
                             "repro_astar_pushed_total",
                             "A* partial paths pushed onto IP",
                         ).inc(outcome.pushed)
-                        registry.counter(
-                            "repro_astar_pruned_total",
-                            "A* zero-potential extensions dropped",
-                        ).inc(outcome.pruned)
-                elif algorithm in ("viterbi_topk", "viterbi_topk_log"):
-                    raw = _TOPK_DECODERS[(algorithm, impl)](hmm, want)
-                else:
-                    raw = brute_force_topk(hmm, want)
                 sp.set_attribute("raw_results", len(raw))
             if detail is not None:
                 detail["hmm"] = hmm
@@ -570,22 +541,13 @@ class Reformulator:
         self, keywords: Sequence[str], k: int = 10
     ) -> AStarOutcome:
         """Algorithm 3 with per-stage timings (Figure 8/9 instrumentation)."""
-        hmm = self.build_hmm(keywords)
-        search = _TOPK_DECODERS[("astar", self.config.decode_impl)]
-        return search(hmm, k)
+        _queries, outcome = decode_topk(self.build_hmm(keywords), k, "astar")
+        return outcome
 
     def best(self, keywords: Sequence[str]) -> ScoredQuery:
-        """The single best reformulation (plain Viterbi).
-
-        Runs the configured decode lane; both lanes return the
-        lexicographically smallest maximum-score path, bit-identically.
-        """
-        top1 = (
-            viterbi_top1_vec
-            if self.config.decode_impl == "vectorized"
-            else viterbi_top1
-        )
-        return top1(self.build_hmm(keywords))
+        """The single best reformulation: rank 1 of Algorithm 2, i.e.
+        the lexicographically smallest maximum-score path."""
+        return viterbi_topk(self.build_hmm(keywords), 1)[0]
 
     # ------------------------------------------------------------------ #
     # internals

@@ -1,27 +1,18 @@
-"""Viterbi decoding: top-1 and the extended top-k variant (Algorithm 2).
+"""Extended top-k Viterbi decoding (Algorithm 2).
 
 The standard Viterbi recursion finds the single best hidden-state
 sequence in ``O(m n²)``.  Algorithm 2 of the paper extends the per-state
-memo from one best prefix to the *k* best prefixes ending in each state.
+memo from one best prefix to the *k* best prefixes ending in each state;
+the single best reformulation is ``viterbi_topk(hmm, 1)[0]``.
 
-Decode lanes
-------------
-Every decoder ships in two implementations that are **bit-identical**:
-
-* the *reference* lane (``viterbi_top1``, ``viterbi_topk``, ``*_log``):
-  plain Python loops over scalar floats — slow, easy to audit, kept as
-  the ``decode_impl="reference"`` escape hatch;
-* the *vectorized* lane (``viterbi_top1_vec``, ``viterbi_topk_vec``,
-  ``*_vec_log``): numpy whole-matrix operations over the contiguous
-  emission columns and transition sub-matrices the serving plan cache
-  assembles.  One batched product per position scores every
-  (prefix, next-state) extension at once, and a stable column-wise
-  argsort keeps the k best prefixes per state.
-
-Bit-identity holds because both lanes perform the same floating-point
-operations in the same association order — an extension is always scored
-``(prefix · trans) · emis`` (``+`` in log space) — and both lanes resolve
-ties with the same total order.
+The decoder is vectorized: numpy whole-matrix operations over the
+contiguous emission columns and transition sub-matrices the serving plan
+cache assembles.  One batched product per position scores every
+(prefix, next-state) extension at once, and a stable column-wise
+argsort keeps the k best prefixes per state.  An extension is always
+scored ``(prefix · trans) · emis`` (``+`` in log space), the same
+association as the plain-loop reference in ``tests/decode_oracle.py``,
+which the oracle proves bit-identical.
 
 Tie-break contract
 ------------------
@@ -31,9 +22,7 @@ All decoders (here, in :mod:`repro.core.astar` and in
     ``(score descending, state_path lexicographically ascending)``
 
 so equal-scored reformulations always surface lowest-candidate-index
-first, at every internal truncation and in the returned list.  Top-1 is
-the k=1 specialization of the same recursion, hence bit-identical to
-``topk(hmm, 1)[0]``.
+first, at every internal truncation and in the returned list.
 
 Zero-probability caveat: when the returned list contains zero-score
 paths, the per-state truncation can keep different (equally worthless)
@@ -43,23 +32,19 @@ ordering agree whenever every returned score is positive or ``k`` covers
 the whole search space.  ``tests/decode_oracle.py`` states (and
 enforces) the full contract.
 
-Each algorithm has a **log-space lane** (``*_log``): the recursion adds
-``log π / log B / log A`` instead of multiplying probabilities, so long
-queries cannot underflow to an all-zero table and no per-query rescaling
-is ever needed.  The log matrices come from the HMM's cached lane
+With ``log_space=True`` the recursion adds ``log π / log B / log A``
+instead of multiplying probabilities, so long queries cannot underflow
+to an all-zero table and no per-query rescaling is ever needed.  The log
+matrices come from the HMM's cached lane
 (:attr:`~repro.core.hmm.ReformulationHMM.log_transitions` is pre-seeded
 by the serving plan cache), and returned queries are re-scored with
-Eq 10 in probability space.  Selection happens on summed logs, so a
-log lane can order within-an-ulp near-ties differently than the linear
-lanes; reference and vectorized *log* lanes remain bit-identical to
-each other.
+Eq 10 in probability space.  Selection happens on summed logs, so log
+space can order within-an-ulp near-ties differently than linear space.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -68,206 +53,14 @@ from repro.core.scoring import ScoredQuery
 from repro.errors import ReformulationError
 
 
-@dataclass(frozen=True)
-class ViterbiTable:
-    """Forward max-product table: scores[c][i] = best prefix score ending
-    at state *i* of step *c*; used by the A* stage of Algorithm 3."""
-
-    scores: List[np.ndarray]
-    backpointers: List[np.ndarray]
-
-
-def viterbi_table(hmm: ReformulationHMM) -> ViterbiTable:
-    """Run the forward max-product recursion over the whole HMM."""
-    scores: List[np.ndarray] = []
-    backpointers: List[np.ndarray] = []
-
-    first = hmm.pi * hmm.emissions[0]
-    scores.append(first)
-    backpointers.append(np.full(first.shape, -1, dtype=np.int64))
-
-    for step in range(1, hmm.length):
-        trans = hmm.transitions[step - 1]
-        prev = scores[-1]
-        # combined[i, j] = prev[i] * trans[i, j]
-        combined = prev[:, None] * trans
-        best_prev = combined.argmax(axis=0)
-        best_score = combined[best_prev, np.arange(trans.shape[1])]
-        scores.append(best_score * hmm.emissions[step])
-        backpointers.append(best_prev)
-    return ViterbiTable(scores, backpointers)
-
-
-def viterbi_table_log(hmm: ReformulationHMM) -> ViterbiTable:
-    """Log-space forward max-sum recursion (scores are log-probabilities).
-
-    Zero-probability entries enter as ``-inf`` and stay ``-inf`` through
-    the additions, so impossible prefixes never need special-casing.
-    """
-    scores: List[np.ndarray] = []
-    backpointers: List[np.ndarray] = []
-
-    first = hmm.log_pi + hmm.log_emissions[0]
-    scores.append(first)
-    backpointers.append(np.full(first.shape, -1, dtype=np.int64))
-
-    for step in range(1, hmm.length):
-        trans = hmm.log_transitions[step - 1]
-        prev = scores[-1]
-        # combined[i, j] = prev[i] + trans[i, j]
-        combined = prev[:, None] + trans
-        best_prev = combined.argmax(axis=0)
-        best_score = combined[best_prev, np.arange(trans.shape[1])]
-        scores.append(best_score + hmm.log_emissions[step])
-        backpointers.append(best_prev)
-    return ViterbiTable(scores, backpointers)
-
-
-# ---------------------------------------------------------------------------
-# Reference lane: plain Python loops (decode_impl="reference")
-# ---------------------------------------------------------------------------
-
-
-def _prefix_key(sp: Tuple[float, Tuple[int, ...]]):
-    """The contract's total order as a min-key: score desc, path lex asc."""
-    return (-sp[0], sp[1])
-
-
-def viterbi_top1(hmm: ReformulationHMM) -> ScoredQuery:
-    """The single most probable reformulation (classic Viterbi).
-
-    Implemented as the k=1 specialization of Algorithm 2 so the result —
-    the lexicographically smallest maximum-score path — is bit-identical
-    to ``viterbi_topk(hmm, 1)[0]``.
-    """
-    best: List[Tuple[float, Tuple[int, ...]]] = [
-        (float(hmm.pi[i] * hmm.emissions[0][i]), (i,))
-        for i in range(hmm.n_states(0))
-    ]
-    for step in range(1, hmm.length):
-        trans = hmm.transitions[step - 1]
-        emis = hmm.emissions[step]
-        best = [
-            min(
-                (
-                    (score * float(trans[i, j]) * float(emis[j]), path + (j,))
-                    for i, (score, path) in enumerate(best)
-                ),
-                key=_prefix_key,
-            )
-            for j in range(hmm.n_states(step))
-        ]
-    _score, path = min(best, key=_prefix_key)
-    return hmm.scored_query(path)
-
-
-def viterbi_top1_log(hmm: ReformulationHMM) -> ScoredQuery:
-    """Log-space Viterbi; the returned score is Eq 10 in probability space.
-
-    k=1 specialization of :func:`viterbi_topk_log` — same per-state
-    selection on summed logs with the lexicographic tie-break.
-    """
-    log_pi = hmm.log_pi
-    log_emis0 = hmm.log_emissions[0]
-    best: List[Tuple[float, Tuple[int, ...]]] = [
-        (float(log_pi[i] + log_emis0[i]), (i,))
-        for i in range(hmm.n_states(0))
-    ]
-    for step in range(1, hmm.length):
-        trans = hmm.log_transitions[step - 1]
-        emis = hmm.log_emissions[step]
-        best = [
-            min(
-                (
-                    (score + float(trans[i, j]) + float(emis[j]), path + (j,))
-                    for i, (score, path) in enumerate(best)
-                ),
-                key=_prefix_key,
-            )
-            for j in range(hmm.n_states(step))
-        ]
-    _score, path = min(best, key=_prefix_key)
-    return hmm.scored_query(path)
-
-
-def viterbi_topk(hmm: ReformulationHMM, k: int) -> List[ScoredQuery]:
-    """Algorithm 2: extended Viterbi storing top-k prefixes per state.
-
-    ``L[c][i]`` holds at most *k* (score, path) prefixes ending in state
-    *i* at step *c*; step ``c+1`` merges the extensions of every previous
-    state's list and keeps the best *k* per state under the contract's
-    ``(score desc, path lex asc)`` order.  Returns the global top-k
-    complete paths, best first.
-    """
-    if k < 1:
-        raise ReformulationError("k must be >= 1")
-
-    # lists[i] = [(score, path_tuple), ...] best-first under the contract
-    lists: List[List[Tuple[float, Tuple[int, ...]]]] = []
-    for i in range(hmm.n_states(0)):
-        score = float(hmm.pi[i] * hmm.emissions[0][i])
-        lists.append([(score, (i,))])
-
-    for step in range(1, hmm.length):
-        trans = hmm.transitions[step - 1]
-        emis = hmm.emissions[step]
-        new_lists: List[List[Tuple[float, Tuple[int, ...]]]] = []
-        for j in range(hmm.n_states(step)):
-            extensions = (
-                (score * float(trans[i, j]) * float(emis[j]), path + (j,))
-                for i, prefix_list in enumerate(lists)
-                for score, path in prefix_list
-            )
-            new_lists.append(heapq.nsmallest(k, extensions, key=_prefix_key))
-        lists = new_lists
-
-    complete = [sp for state_list in lists for sp in state_list]
-    # nsmallest returns ascending by key == the contract's output order.
-    top = heapq.nsmallest(k, complete, key=_prefix_key)
-    return [hmm.scored_query(path) for _score, path in top]
-
-
-def viterbi_topk_log(hmm: ReformulationHMM, k: int) -> List[ScoredQuery]:
-    """Algorithm 2 in log space: top-k prefixes per state via max-sum.
-
-    Selection happens on summed log-probabilities under the same
-    ``(score desc, path lex asc)`` order; the final list is re-scored
-    and re-sorted with the probability-space Eq 10 score.
-    """
-    if k < 1:
-        raise ReformulationError("k must be >= 1")
-
-    log_pi = hmm.log_pi
-    log_emis0 = hmm.log_emissions[0]
-    lists: List[List[Tuple[float, Tuple[int, ...]]]] = []
-    for i in range(hmm.n_states(0)):
-        score = float(log_pi[i] + log_emis0[i])
-        lists.append([(score, (i,))])
-
-    for step in range(1, hmm.length):
-        trans = hmm.log_transitions[step - 1]
-        emis = hmm.log_emissions[step]
-        new_lists: List[List[Tuple[float, Tuple[int, ...]]]] = []
-        for j in range(hmm.n_states(step)):
-            extensions = (
-                (score + float(trans[i, j]) + float(emis[j]), path + (j,))
-                for i, prefix_list in enumerate(lists)
-                for score, path in prefix_list
-            )
-            new_lists.append(heapq.nsmallest(k, extensions, key=_prefix_key))
-        lists = new_lists
-
-    complete = [sp for state_list in lists for sp in state_list]
-    top = heapq.nsmallest(k, complete, key=_prefix_key)
-    out = [hmm.scored_query(path) for _score, path in top]
-    # Deterministic output order on the probability-space score.
-    out.sort(key=lambda q: (-q.score, q.state_path))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Vectorized lane: batched numpy selection (decode_impl="vectorized")
-# ---------------------------------------------------------------------------
+def hmm_space(hmm: ReformulationHMM, log_space: bool):
+    """``(pi, emissions, transitions, combine)`` in one arithmetic space:
+    the probability matrices with ``np.multiply``, or their logs with
+    ``np.add``.  Only the requested space's matrices are touched, so a
+    linear decode never computes logs."""
+    if log_space:
+        return hmm.log_pi, hmm.log_emissions, hmm.log_transitions, np.add
+    return hmm.pi, hmm.emissions, hmm.transitions, np.multiply
 
 
 def _reconstruct_path(
@@ -284,44 +77,34 @@ def _reconstruct_path(
     return tuple(path)
 
 
-def _viterbi_topk_vec_paths(
-    hmm: ReformulationHMM, k: int, log_space: bool
-) -> List[Tuple[int, ...]]:
-    """Shared vectorized core: the selected top-k paths, best first.
+def viterbi_topk(
+    hmm: ReformulationHMM, k: int, log_space: bool = False
+) -> List[ScoredQuery]:
+    """Algorithm 2: extended Viterbi storing top-k prefixes per state.
 
     Live prefixes are kept as flat arrays *in lexicographic path order*
     (restored after every step with ``np.lexsort``), so a **stable**
     argsort on negated scores realizes exactly the contract's
     ``(score desc, path lex asc)`` order — both at the per-state
-    truncation and at the final global selection.  The extension scores
-    are computed with the same association as the reference lane
-    (``(prefix ∘ trans) ∘ emis``), which makes the two lanes
-    bit-identical.
+    truncation and at the final global selection.  Returns the global
+    top-k complete paths, best first.
     """
-    if log_space:
-        scores = np.asarray(hmm.log_pi + hmm.log_emissions[0], dtype=np.float64)
-    else:
-        scores = np.asarray(hmm.pi * hmm.emissions[0], dtype=np.float64)
+    if k < 1:
+        raise ReformulationError("k must be >= 1")
+    pi, emissions, transitions, combine = hmm_space(hmm, log_space)
+    scores = np.asarray(combine(pi, emissions[0]), dtype=np.float64)
 
     n0 = hmm.n_states(0)
     states_hist: List[np.ndarray] = [np.arange(n0, dtype=np.int64)]
     parents: List[np.ndarray] = [np.full(n0, -1, dtype=np.int64)]
 
     for step in range(1, hmm.length):
-        if log_space:
-            trans = hmm.log_transitions[step - 1]
-            emis = hmm.log_emissions[step]
-        else:
-            trans = hmm.transitions[step - 1]
-            emis = hmm.emissions[step]
-        ends = states_hist[-1]
         # ext[r, j]: prefix row r extended with next-state j, one batched
         # product (sum in log space) over the whole live frontier.
-        if log_space:
-            ext = scores[:, None] + trans[ends, :] + emis[None, :]
-        else:
-            ext = scores[:, None] * trans[ends, :] * emis[None, :]
-
+        ext = combine(
+            combine(scores[:, None], transitions[step - 1][states_hist[-1], :]),
+            emissions[step][None, :],
+        )
         n_next = ext.shape[1]
         keep = min(k, ext.shape[0])
         # Stable column-wise argsort: rows are in lex order, so ties on
@@ -340,46 +123,11 @@ def _viterbi_topk_vec_paths(
 
     keep = min(k, scores.shape[0])
     top_rows = np.argsort(-scores, kind="stable")[:keep]
-    return [_reconstruct_path(states_hist, parents, int(r)) for r in top_rows]
-
-
-def viterbi_top1_vec(hmm: ReformulationHMM) -> ScoredQuery:
-    """Vectorized twin of :func:`viterbi_top1` (bit-identical result)."""
-    (path,) = _viterbi_topk_vec_paths(hmm, 1, log_space=False)
-    return hmm.scored_query(path)
-
-
-def viterbi_top1_vec_log(hmm: ReformulationHMM) -> ScoredQuery:
-    """Vectorized twin of :func:`viterbi_top1_log` (bit-identical result)."""
-    (path,) = _viterbi_topk_vec_paths(hmm, 1, log_space=True)
-    return hmm.scored_query(path)
-
-
-def viterbi_topk_vec(hmm: ReformulationHMM, k: int) -> List[ScoredQuery]:
-    """Vectorized twin of :func:`viterbi_topk` (bit-identical results)."""
-    if k < 1:
-        raise ReformulationError("k must be >= 1")
-    paths = _viterbi_topk_vec_paths(hmm, k, log_space=False)
-    # The selection scores equal the recomputed Eq 10 scores bit-for-bit
-    # (same factors, same association), so the order is already final.
-    return [hmm.scored_query(path) for path in paths]
-
-
-def viterbi_topk_vec_log(hmm: ReformulationHMM, k: int) -> List[ScoredQuery]:
-    """Vectorized twin of :func:`viterbi_topk_log` (bit-identical results)."""
-    if k < 1:
-        raise ReformulationError("k must be >= 1")
-    paths = _viterbi_topk_vec_paths(hmm, k, log_space=True)
-    out = [hmm.scored_query(path) for path in paths]
+    out = [
+        hmm.scored_query(_reconstruct_path(states_hist, parents, int(r)))
+        for r in top_rows
+    ]
+    # Linear selection scores equal the Eq 10 scores bit-for-bit, so this
+    # only reorders log-space results (selected on summed logs).
     out.sort(key=lambda q: (-q.score, q.state_path))
     return out
-
-
-def path_scores_consistent(
-    hmm: ReformulationHMM, queries: Sequence[ScoredQuery], tol: float = 1e-12
-) -> bool:
-    """Sanity helper used in tests: recompute every score from Eq 10."""
-    return all(
-        abs(q.score - hmm.path_score(q.state_path)) <= tol * max(1.0, q.score)
-        for q in queries
-    )

@@ -30,8 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.candidates import CandidateState, StateKind
 from repro.core.hmm import ReformulationHMM
-from repro.core.reformulator import _TOPK_DECODERS, Reformulator
-from repro.core.enumeration import brute_force_topk
+from repro.core.reformulator import Reformulator, decode_topk
 from repro.errors import ReformulationError
 from repro.index.inverted import FieldRef
 from repro.lanes.base import Lane, LaneResult
@@ -166,18 +165,7 @@ class SchemaLane(Lane):
             smoothing_lambda=pipeline.config.smoothing_lambda,
         )
         want = k + pipeline._slack(reduced)
-        if algorithm in ("astar", "astar_log"):
-            raw = _TOPK_DECODERS[(algorithm, pipeline.config.decode_impl)](
-                hmm, want
-            ).queries
-        elif algorithm in ("viterbi_topk", "viterbi_topk_log"):
-            raw = _TOPK_DECODERS[(algorithm, pipeline.config.decode_impl)](
-                hmm, want
-            )
-        elif algorithm == "brute_force":
-            raw = brute_force_topk(hmm, want)
-        else:
-            raise ReformulationError(f"unknown algorithm {algorithm!r}")
+        raw, _outcome = decode_topk(hmm, want, algorithm)
         return pipeline._postprocess(reduced, raw, k)
 
     def _constrain(

@@ -46,13 +46,14 @@ def registry_to_dict(registry: MetricsRegistry) -> Dict[str, Any]:
             "labels": dict(metric.labels),
         }
         if isinstance(metric, Histogram):
-            entry["sum"] = metric.sum
-            entry["count"] = metric.count
+            snap = metric.snapshot()
+            entry["sum"] = snap.sum
+            entry["count"] = snap.count
             entry["buckets"] = [
                 ["+Inf" if math.isinf(le) else le, count]
-                for le, count in metric.cumulative_buckets()
+                for le, count in snap.buckets
             ]
-            exemplars = metric.exemplars()
+            exemplars = snap.exemplars
             if exemplars:
                 # (le, value, trace_id) per bucket holding one: the JSON
                 # export keeps them (classic Prometheus text cannot).

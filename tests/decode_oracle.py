@@ -1,8 +1,13 @@
 """Differential decode oracle: the executable tie-break contract.
 
-Every decode lane of the online stage is registered here and checked
-against every other lane on the same HMM instance.  The contract the
-oracle enforces (stated informally in ``repro/core/viterbi.py``):
+This module holds the **reference loops** — plain-Python, scalar-float
+implementations of Algorithm 2 (:func:`reference_viterbi_topk`) and of
+Algorithm 3 with an eager frontier (:func:`reference_astar_topk`), each
+in both arithmetic spaces.  They are slow and easy to audit.  Every
+production decoder of the online stage is registered next to them and
+checked against them and against brute force on the same HMM instance.
+The contract the oracle enforces (stated informally in
+``repro/core/viterbi.py``):
 
 1. **Output order** — every lane returns paths sorted by
    ``(score desc, state_path lex asc)``; in particular, equal-scored
@@ -13,9 +18,9 @@ oracle enforces (stated informally in ``repro/core/viterbi.py``):
    bit-for-bit, and the score *sequences* of all lanes in the same
    arithmetic space are bit-identical rank by rank.
 4. **Paths** —
-   * reference vs vectorized twins of the same algorithm: bit-identical
-     paths and order, **always** (this is the equivalence the PR's
-     vectorization rests on);
+   * reference loop vs production decoder of the same algorithm and
+     space: bit-identical paths and order, **always** (the production
+     decoders' vectorization rests on this equivalence);
    * ``viterbi_topk`` (linear) vs the brute-force oracle: score
      sequences are bit-identical rank for rank, always (both select on
      forward-accumulated Eq 10 products and fp multiplication is
@@ -28,18 +33,18 @@ oracle enforces (stated informally in ``repro/core/viterbi.py``):
      the lex-smallest tied path out of the per-state memo (ties from
      *different* factor multisets, e.g. 0.5·0.5 == 0.25·1.0, do this;
      ties with identical factor sequences — twin states — cannot);
-   * ``astar*`` lanes vs anything outside their twin pair: exact up to
-     floating-point near-ties.  The admissible heuristic is accumulated
-     *backward*, a different association order than the forward path
-     score, so priorities can be an ulp off and flip within-an-ulp
-     neighbours at the k-th boundary;
+   * ``astar*`` lanes vs anything outside their own algorithm and
+     space: exact up to floating-point near-ties.  The admissible
+     heuristic is accumulated *backward*, a different association order
+     than the forward path score, so priorities can be an ulp off and
+     flip within-an-ulp neighbours at the k-th boundary;
    * linear vs log space: likewise exact up to near-ties (selection on
      summed logs rounds differently than products).  Wherever paths
      differ at a rank, the two scores must agree to ~1e-9 relative.
-5. **Top-1** — ``viterbi_top1*`` equals ``topk(hmm, 1)[0]`` of the same
-   space bit-for-bit, always (it is the k=1 specialization of the same
-   recursion), and matches the exhaustive oracle's rank-1 path whenever
-   the best score is positive and uniquely achieved.
+
+The single best reformulation is contract 4 at ``k=1``: the serving
+top-1 is ``viterbi_topk(hmm, 1)[0]``, so every caller here also decodes
+``k=1``.
 
 Run it standalone against freshly generated random instances with::
 
@@ -48,36 +53,130 @@ Run it standalone against freshly generated random instances with::
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.astar import (
-    astar_topk,
-    astar_topk_log,
-    astar_topk_vec,
-    astar_topk_vec_log,
-)
+from repro.core.astar import backward_heuristic
 from repro.core.candidates import CandidateState, StateKind
 from repro.core.enumeration import brute_force_topk
 from repro.core.hmm import ReformulationHMM
+from repro.core.reformulator import ALGORITHMS, decode_topk
 from repro.core.scoring import ScoredQuery
-from repro.core.viterbi import (
-    viterbi_top1,
-    viterbi_top1_log,
-    viterbi_top1_vec,
-    viterbi_top1_vec_log,
-    viterbi_topk,
-    viterbi_topk_log,
-    viterbi_topk_vec,
-    viterbi_topk_vec_log,
-)
+from repro.errors import ReformulationError
 
 #: Relative tolerance for cross-space (linear vs log) comparisons: paths
 #: may only diverge where scores collide within this window.
 NEAR_TIE_REL = 1e-9
+
+
+# --------------------------------------------------------------------------- #
+# Reference loops: plain Python over scalar floats
+# --------------------------------------------------------------------------- #
+
+
+def _scalar_space(hmm: ReformulationHMM, log_space: bool):
+    """``(pi, emissions, transitions, combine)`` with a scalar combine."""
+    if log_space:
+        return hmm.log_pi, hmm.log_emissions, hmm.log_transitions, operator.add
+    return hmm.pi, hmm.emissions, hmm.transitions, operator.mul
+
+
+def _prefix_key(sp: Tuple[float, Tuple[int, ...]]):
+    """The contract's total order as a min-key: score desc, path lex asc."""
+    return (-sp[0], sp[1])
+
+
+def _by_eq10(queries: List[ScoredQuery]) -> List[ScoredQuery]:
+    """Final order on the probability-space Eq 10 score."""
+    return sorted(queries, key=lambda q: (-q.score, q.state_path))
+
+
+def reference_viterbi_topk(
+    hmm: ReformulationHMM, k: int, log_space: bool = False
+) -> List[ScoredQuery]:
+    """Algorithm 2 as scalar loops.
+
+    ``lists[i]`` holds at most *k* (score, path) prefixes ending in state
+    *i* at the current step; the next step merges the extensions of every
+    previous state's list and keeps the best *k* per state under the
+    contract's ``(score desc, path lex asc)`` order.  An extension is
+    scored ``(score ∘ trans) ∘ emis``, the production association.
+    """
+    if k < 1:
+        raise ReformulationError("k must be >= 1")
+    pi, emissions, transitions, combine = _scalar_space(hmm, log_space)
+    lists: List[List[Tuple[float, Tuple[int, ...]]]] = [
+        [(combine(float(pi[i]), float(emissions[0][i])), (i,))]
+        for i in range(hmm.n_states(0))
+    ]
+    for step in range(1, hmm.length):
+        trans = transitions[step - 1]
+        emis = emissions[step]
+        lists = [
+            heapq.nsmallest(
+                k,
+                (
+                    (
+                        combine(combine(score, float(trans[i, j])),
+                                float(emis[j])),
+                        path + (j,),
+                    )
+                    for i, prefix_list in enumerate(lists)
+                    for score, path in prefix_list
+                ),
+                key=_prefix_key,
+            )
+            for j in range(hmm.n_states(step))
+        ]
+    complete = [sp for state_list in lists for sp in state_list]
+    top = heapq.nsmallest(k, complete, key=_prefix_key)
+    return _by_eq10([hmm.scored_query(path) for _score, path in top])
+
+
+def reference_astar_topk(
+    hmm: ReformulationHMM, k: int, log_space: bool = False
+) -> List[ScoredQuery]:
+    """Algorithm 3 with an eager frontier, as scalar loops.
+
+    Every extension of a popped path is pushed at once, keyed
+    ``(-priority, path)`` so equal potentials pop in lexicographic path
+    order.  The production decoder's lazy sibling frontier must pop in
+    exactly this sequence.
+    """
+    if k < 1:
+        raise ReformulationError("k must be >= 1")
+    h = backward_heuristic(hmm, log_space)
+    pi, emissions, transitions, combine = _scalar_space(hmm, log_space)
+    ip: List[Tuple[float, Tuple[int, ...], float]] = []
+    for i in range(hmm.n_states(0)):
+        g = combine(float(pi[i]), float(emissions[0][i]))
+        heapq.heappush(ip, (-combine(g, float(h[0][i])), (i,), g))
+
+    complete: List[ScoredQuery] = []
+    while ip and len(complete) < k:
+        _neg_priority, path, g = heapq.heappop(ip)
+        step = len(path)
+        if step == hmm.length:
+            complete.append(hmm.scored_query(path))
+            continue
+        trans = transitions[step - 1]
+        emis = emissions[step]
+        for j in range(hmm.n_states(step)):
+            g_next = combine(combine(g, float(trans[path[-1], j])),
+                             float(emis[j]))
+            priority = combine(g_next, float(h[step][j]))
+            heapq.heappush(ip, (-priority, path + (j,), g_next))
+    return _by_eq10(complete)
+
+
+# --------------------------------------------------------------------------- #
+# Lane registry
+# --------------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
@@ -90,28 +189,41 @@ class Lane:
     fn: Callable[[ReformulationHMM, int], List[ScoredQuery]]
 
 
-TOPK_LANES: Tuple[Lane, ...] = (
-    Lane("viterbi_topk/reference", "linear", "dp", viterbi_topk),
-    Lane("viterbi_topk/vectorized", "linear", "dp", viterbi_topk_vec),
-    Lane("viterbi_topk_log/reference", "log", "dp", viterbi_topk_log),
-    Lane("viterbi_topk_log/vectorized", "log", "dp", viterbi_topk_vec_log),
-    Lane("astar/reference", "linear", "global",
-         lambda hmm, k: astar_topk(hmm, k).queries),
-    Lane("astar/vectorized", "linear", "global",
-         lambda hmm, k: astar_topk_vec(hmm, k).queries),
-    Lane("astar_log/reference", "log", "global",
-         lambda hmm, k: astar_topk_log(hmm, k).queries),
-    Lane("astar_log/vectorized", "log", "global",
-         lambda hmm, k: astar_topk_vec_log(hmm, k).queries),
-    Lane("brute_force/oracle", "linear", "global", brute_force_topk),
-)
+def _production(algorithm: str) -> Callable[[ReformulationHMM, int], List[ScoredQuery]]:
+    return lambda hmm, k: decode_topk(hmm, k, algorithm)[0]
 
-#: (name, space, fn) for the four single-best lanes.
-TOP1_LANES: Tuple[Tuple[str, str, Callable[[ReformulationHMM], ScoredQuery]], ...] = (
-    ("viterbi_top1/reference", "linear", viterbi_top1),
-    ("viterbi_top1/vectorized", "linear", viterbi_top1_vec),
-    ("viterbi_top1_log/reference", "log", viterbi_top1_log),
-    ("viterbi_top1_log/vectorized", "log", viterbi_top1_vec_log),
+
+def _reference(fn, log_space: bool):
+    return lambda hmm, k: fn(hmm, k, log_space=log_space)
+
+
+def _build_lanes() -> Tuple[Lane, ...]:
+    """Production and reference lane of every algorithm, both spaces,
+    plus the brute-force oracle (whose production lane *is* the oracle)."""
+    references = {
+        "viterbi_topk": reference_viterbi_topk,
+        "astar": reference_astar_topk,
+    }
+    lanes = []
+    for algorithm in ALGORITHMS:
+        log_space = algorithm.endswith("_log")
+        space = "log" if log_space else "linear"
+        base = algorithm[: -len("_log")] if log_space else algorithm
+        family = "dp" if base == "viterbi_topk" else "global"
+        lanes.append(Lane(f"{algorithm}/production", space, family,
+                          _production(algorithm)))
+        if base in references:
+            lanes.append(Lane(f"{algorithm}/reference", space, family,
+                              _reference(references[base], log_space)))
+    return tuple(lanes)
+
+
+TOPK_LANES: Tuple[Lane, ...] = _build_lanes()
+
+#: Algorithms with a reference loop beside the production decoder.
+TWINNED = tuple(
+    lane.name.split("/")[0] for lane in TOPK_LANES
+    if lane.name.endswith("/reference")
 )
 
 
@@ -157,13 +269,13 @@ def check_topk_equivalence(hmm: ReformulationHMM, k: int) -> None:
     for lane in TOPK_LANES:
         _check_lane_invariants(hmm, lane.name, results[lane.name], k)
 
-    # Reference vs vectorized twins: bit-identical, unconditionally.
-    for base in ("viterbi_topk", "viterbi_topk_log", "astar", "astar_log"):
-        ref = signature(results[f"{base}/reference"])
-        vec = signature(results[f"{base}/vectorized"])
-        assert ref == vec, (
-            f"{base}: reference and vectorized lanes diverge\n"
-            f"  reference:  {ref}\n  vectorized: {vec}"
+    # Reference loop vs production decoder: bit-identical, always.
+    for algorithm in TWINNED:
+        ref = signature(results[f"{algorithm}/reference"])
+        prod = signature(results[f"{algorithm}/production"])
+        assert ref == prod, (
+            f"{algorithm}: reference loop and production decoder diverge\n"
+            f"  reference:  {ref}\n  production: {prod}"
         )
 
     # Linear DP vs the exhaustive oracle: both select on the same
@@ -171,7 +283,7 @@ def check_topk_equivalence(hmm: ReformulationHMM, k: int) -> None:
     # always.  Paths are bit-exact on tie-free instances (see module
     # docstring for why exact ties leave the DP lex slack).
     dp = results["viterbi_topk/reference"]
-    oracle = results["brute_force/oracle"]
+    oracle = results["brute_force/production"]
     assert [q.score for q in dp] == [q.score for q in oracle], (
         "viterbi_topk vs brute_force: score sequences differ"
     )
@@ -182,12 +294,14 @@ def check_topk_equivalence(hmm: ReformulationHMM, k: int) -> None:
         )
     else:
         # Tie-free check must include the first *excluded* path: a tie
-        # across the k-th boundary also leaves the DP slack.
+        # across the k-th boundary also leaves the DP slack.  Only the
+        # returned scores need to be positive (at k=1 this is the old
+        # top-1 rule: a unique positive best path is found exactly).
         extended = brute_force_topk(hmm, k + 1)
         ext_scores = [q.score for q in extended]
         tie_free = all(
             a > b for a, b in zip(ext_scores, ext_scores[1:])
-        ) and ext_scores[-1] > 0.0
+        ) and ext_scores[k - 1] > 0.0
         if tie_free:
             assert signature(dp) == signature(oracle), (
                 "viterbi_topk vs brute_force: paths differ on a "
@@ -207,46 +321,6 @@ def check_topk_equivalence(hmm: ReformulationHMM, k: int) -> None:
                 f"{lane.name} rank {rank}: score {a.score!r} vs oracle "
                 f"{b.score!r} beyond near-tie tolerance"
             )
-
-
-def check_top1_equivalence(hmm: ReformulationHMM) -> None:
-    """Assert the single-best contract on one HMM instance."""
-    results = {name: fn(hmm) for name, _space, fn in TOP1_LANES}
-    topk1 = run_topk_lanes(hmm, 1)
-
-    # Twins bit-identical; each space's top1 == its own topk(1)[0].
-    assert (
-        signature([results["viterbi_top1/reference"]])
-        == signature([results["viterbi_top1/vectorized"]])
-        == signature([topk1["viterbi_topk/reference"][0]])
-        == signature([topk1["viterbi_topk/vectorized"][0]])
-    ), "linear top-1 lanes diverge from topk(1)"
-    assert (
-        signature([results["viterbi_top1_log/reference"]])
-        == signature([results["viterbi_top1_log/vectorized"]])
-        == signature([topk1["viterbi_topk_log/reference"][0]])
-        == signature([topk1["viterbi_topk_log/vectorized"][0]])
-    ), "log top-1 lanes diverge from topk_log(1)"
-
-    best = results["viterbi_top1/reference"]
-    extended = brute_force_topk(hmm, 2)
-    oracle = extended[0]
-    assert best.score == oracle.score, (
-        "top-1 score disagrees with the exhaustive oracle"
-    )
-    uniquely_best = len(extended) == 1 or extended[1].score < oracle.score
-    if best.score > 0.0 and uniquely_best:
-        assert best.state_path == oracle.state_path, (
-            "unique positive top-1 path disagrees with the exhaustive oracle"
-        )
-    astar1 = topk1["astar/reference"][0]
-    assert math.isclose(
-        best.score, astar1.score, rel_tol=NEAR_TIE_REL, abs_tol=0.0
-    ), "top-1 score disagrees with A* rank-1 beyond near-tie tolerance"
-    log_best = results["viterbi_top1_log/reference"]
-    assert math.isclose(
-        best.score, log_best.score, rel_tol=NEAR_TIE_REL, abs_tol=0.0
-    ), "top-1 scores diverge across arithmetic spaces"
 
 
 # --------------------------------------------------------------------------- #
@@ -310,13 +384,12 @@ def main(argv=None) -> int:
     rng = np.random.RandomState(args.seed)
     for i in range(args.instances):
         hmm = random_instance(rng)
-        k = int(rng.randint(1, 13))
-        check_topk_equivalence(hmm, k)
-        check_topk_equivalence(hmm, hmm.search_space + 3)
-        check_top1_equivalence(hmm)
+        for k in (int(rng.randint(1, 13)), 1, hmm.search_space + 3):
+            check_topk_equivalence(hmm, k)
     print(
         f"decode oracle: {args.instances} instances x "
-        f"{len(TOPK_LANES)} top-k lanes + {len(TOP1_LANES)} top-1 lanes: OK"
+        f"{len(TOPK_LANES)} top-k lanes at k=1, k>1 and k beyond the "
+        f"lattice: OK"
     )
     return 0
 

@@ -1,30 +1,45 @@
 """Unit tests for repro.core.viterbi, cross-checked against brute force.
 
-The property-based tests are the heart: on random HMMs, top-1 Viterbi,
-Algorithm 2 (extended top-k Viterbi) and the exhaustive oracle must agree
-on scores.
+The property-based tests are the heart: on random HMMs, Algorithm 2
+(extended top-k Viterbi), its k=1 top-1 and the exhaustive oracle must
+agree on scores.
 """
+
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 
 from repro.core.enumeration import brute_force_topk
-from repro.core.viterbi import (
-    path_scores_consistent,
-    viterbi_table,
-    viterbi_top1,
-    viterbi_topk,
-)
+from repro.core.hmm import ReformulationHMM
+from repro.core.scoring import ScoredQuery
+from repro.core.viterbi import viterbi_topk
 from repro.errors import ReformulationError
 
+from tests.decode_oracle import reference_viterbi_topk
 from tests.strategies import hmms
+
+
+def path_scores_consistent(
+    hmm: ReformulationHMM, queries: Sequence[ScoredQuery], tol: float = 1e-12
+) -> bool:
+    """Recompute every score from Eq 10."""
+    return all(
+        abs(q.score - hmm.path_score(q.state_path)) <= tol * max(1.0, q.score)
+        for q in queries
+    )
+
+
+def top1(hmm: ReformulationHMM) -> ScoredQuery:
+    """The single best reformulation, as the serving path decodes it."""
+    return viterbi_topk(hmm, 1)[0]
 
 
 class TestTop1:
     @settings(max_examples=60, deadline=None)
     @given(hmms())
     def test_matches_brute_force_score(self, hmm):
-        best = viterbi_top1(hmm)
+        best = top1(hmm)
         oracle = brute_force_topk(hmm, 1)[0]
         assert best.score == pytest.approx(oracle.score, abs=1e-12)
 
@@ -34,7 +49,7 @@ class TestTop1:
         """With strictly positive weights ties are measure-zero, so the
         paths themselves almost always agree; compare scores to stay
         robust to exact ties."""
-        best = viterbi_top1(hmm)
+        best = top1(hmm)
         oracle = brute_force_topk(hmm, 1)[0]
         assert best.score == pytest.approx(oracle.score, rel=1e-9)
 
@@ -42,7 +57,7 @@ class TestTop1:
         from tests.test_core_hmm import build_tiny
 
         hmm = build_tiny()
-        best = viterbi_top1(hmm)
+        best = top1(hmm)
         assert best.score == pytest.approx(hmm.path_score(best.state_path))
 
 
@@ -80,9 +95,11 @@ class TestTopK:
     @settings(max_examples=30, deadline=None)
     @given(hmms())
     def test_k1_equals_top1(self, hmm):
-        assert viterbi_topk(hmm, 1)[0].score == pytest.approx(
-            viterbi_top1(hmm).score, abs=1e-12
-        )
+        """Top-1 scores as rank 1 of a larger k and is bit-identical to
+        the reference loop at k=1."""
+        best = top1(hmm)
+        assert viterbi_topk(hmm, 5)[0].score == best.score
+        assert reference_viterbi_topk(hmm, 1) == [best]
 
     @settings(max_examples=30, deadline=None)
     @given(hmms())
@@ -95,21 +112,3 @@ class TestTopK:
 
         with pytest.raises(ReformulationError):
             viterbi_topk(build_tiny(), 0)
-
-
-class TestTable:
-    def test_table_shapes(self):
-        from tests.test_core_hmm import build_tiny
-
-        hmm = build_tiny()
-        table = viterbi_table(hmm)
-        assert len(table.scores) == hmm.length
-        assert table.backpointers[0].tolist() == [-1, -1]
-
-    def test_first_step_is_pi_times_emission(self):
-        from tests.test_core_hmm import build_tiny
-
-        hmm = build_tiny()
-        table = viterbi_table(hmm)
-        expected = hmm.pi * hmm.emissions[0]
-        assert table.scores[0].tolist() == pytest.approx(expected.tolist())

@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 from repro.core.candidates import CandidateState, StateKind
 from repro.core.enumeration import brute_force_topk
 from repro.core.hmm import ReformulationHMM
-from repro.core.viterbi import viterbi_top1, viterbi_top1_vec
+from repro.core.reformulator import ALGORITHMS
 
 from tests.decode_oracle import (
-    TOP1_LANES,
     TOPK_LANES,
-    check_top1_equivalence,
+    TWINNED,
     check_topk_equivalence,
     run_topk_lanes,
     signature,
@@ -50,7 +49,8 @@ class TestDifferentialOracle:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(hmm_instances())
     def test_top1_contract(self, hmm):
-        check_top1_equivalence(hmm)
+        """The single best reformulation is contract 4 at k=1."""
+        check_topk_equivalence(hmm, 1)
 
 
 def build_hmm(pi, emissions, transitions) -> ReformulationHMM:
@@ -102,8 +102,8 @@ class TestDeliberateTies:
             emissions=[[third] * 3] * 3,
             transitions=[np.ones((3, 3))] * 2,
         )
-        for _name, _space, fn in TOP1_LANES:
-            assert fn(hmm).state_path == (0, 0, 0), _name
+        for name, res in run_topk_lanes(hmm, 1).items():
+            assert res[0].state_path == (0, 0, 0), name
 
     def test_twin_states_tie_to_lower_index(self):
         """States 1 and 2 of the middle position are exact twins: every
@@ -135,9 +135,10 @@ class TestDeliberateTies:
 
     def test_cross_multiset_tie_is_lex_ordered_per_lane(self):
         """1.0·0.25 == 0.5·0.5 exactly: ties built from *different* factor
-        multisets still come out lex-ordered within every lane, and the
-        ref/vec twins agree bit-for-bit (the cross-family guarantee is
-        score-level only — see the oracle docstring)."""
+        multisets still come out lex-ordered within every lane, and each
+        reference loop agrees with its production decoder bit-for-bit (the
+        cross-family guarantee is score-level only — see the oracle
+        docstring)."""
         hmm = build_hmm(
             pi=[0.5, 0.5],
             emissions=[[0.5, 0.5], [0.5, 0.5]],
@@ -153,15 +154,15 @@ class TestDeliberateTies:
             ):
                 if sa == sb:
                     assert pa < pb, f"{name}: tie out of lex order"
-        for base in ("viterbi_topk", "viterbi_topk_log", "astar", "astar_log"):
-            assert signature(results[f"{base}/reference"]) == signature(
-                results[f"{base}/vectorized"]
-            ), base
+        for algorithm in TWINNED:
+            assert signature(results[f"{algorithm}/reference"]) == signature(
+                results[f"{algorithm}/production"]
+            ), algorithm
         check_topk_equivalence(hmm, 4)
 
     def test_tied_top1_prefers_lex_smallest(self):
         """Two exactly tied maxima (twin construction): top-1 must pick
-        the lexicographically smaller one in both lanes."""
+        the lexicographically smaller one in every lane."""
         hmm = build_hmm(
             pi=[0.5, 0.5],
             emissions=[[0.5, 0.5], [0.5, 0.5]],
@@ -170,8 +171,9 @@ class TestDeliberateTies:
         # Paths (0,0) and (0,1) tie at the top with identical factors.
         oracle = brute_force_topk(hmm, 2)
         assert oracle[0].score == oracle[1].score
-        assert viterbi_top1(hmm).state_path == oracle[0].state_path == (0, 0)
-        assert viterbi_top1_vec(hmm).state_path == (0, 0)
+        assert oracle[0].state_path == (0, 0)
+        for name, res in run_topk_lanes(hmm, 1).items():
+            assert res[0].state_path == (0, 0), name
 
     def test_zero_probability_lattice_stays_consistent(self):
         """An all-zero transition row makes whole path families score 0;
@@ -183,7 +185,7 @@ class TestDeliberateTies:
         )
         check_topk_equivalence(hmm, 3)
         check_topk_equivalence(hmm, hmm.search_space + 2)
-        check_top1_equivalence(hmm)
+        check_topk_equivalence(hmm, 1)
 
     def test_single_candidate_and_single_keyword(self):
         """Degenerate lattices: 1×1×1 and a 1-keyword query."""
@@ -193,7 +195,7 @@ class TestDeliberateTies:
             transitions=[np.array([[0.5]]), np.array([[0.25]])],
         )
         check_topk_equivalence(chain, 4)
-        check_top1_equivalence(chain)
+        check_topk_equivalence(chain, 1)
         single = build_hmm(
             pi=[0.25, 0.25, 0.5],
             emissions=[[0.5, 0.25, 0.25]],
@@ -201,13 +203,17 @@ class TestDeliberateTies:
         )
         check_topk_equivalence(single, 2)
         check_topk_equivalence(single, 10)
-        check_top1_equivalence(single)
+        check_topk_equivalence(single, 1)
 
     def test_lane_registry_is_complete(self):
-        """Every (algorithm, impl) pair of the dispatch table is in the
-        oracle's registry — adding a lane without oracle coverage fails."""
-        from repro.core.reformulator import _TOPK_DECODERS
-
-        registered = {lane.name for lane in TOPK_LANES}
-        for (algorithm, impl) in _TOPK_DECODERS:
-            assert f"{algorithm}/{impl}" in registered, (algorithm, impl)
+        """Every algorithm in both spaces has its production decoder in
+        the registry, and every algorithm but the brute-force oracle also
+        has a reference loop — a decoder without oracle coverage fails."""
+        lanes = {lane.name: lane for lane in TOPK_LANES}
+        for base in ("astar", "viterbi_topk"):
+            for space, algorithm in (("linear", base), ("log", f"{base}_log")):
+                assert algorithm in ALGORITHMS
+                for impl in ("production", "reference"):
+                    assert lanes[f"{algorithm}/{impl}"].space == space
+        assert set(TWINNED) == set(ALGORITHMS) - {"brute_force"}
+        assert {name.split("/")[0] for name in lanes} == set(ALGORITHMS)

@@ -1,6 +1,7 @@
 """Unit tests for repro.obs.metrics (counters, gauges, histograms)."""
 
 import math
+import sys
 import threading
 
 import pytest
@@ -98,6 +99,34 @@ class TestHistogram:
         cumulative = [count for _le, count in hist.cumulative_buckets()]
         assert cumulative == sorted(cumulative)
         assert cumulative[-1] == hist.count == 5
+
+    def test_snapshot_is_consistent_under_concurrent_observe(self):
+        """sum, count and buckets come from one locked read: the +Inf
+        bucket equals count even while writers keep observing."""
+        hist = Histogram("h", buckets=[1.0, 2.0])
+        stop = threading.Event()
+
+        def writer():
+            while not stop.is_set():
+                hist.observe(0.5, exemplar="t")
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(500):
+                snap = hist.snapshot()
+                assert snap.buckets[-1] == (float("inf"), snap.count)
+                assert snap.sum == 0.5 * snap.count
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert hist.snapshot().exemplars == [(1.0, 0.5, "t")]
 
     def test_sum_and_mean(self):
         hist = Histogram("h", buckets=[10.0])

@@ -1,11 +1,11 @@
-"""The server's degradation fallbacks against the full decode lanes.
+"""The server's degradation fallbacks against the full top-k decoders.
 
 Two agreement properties lock the degraded path to the cold path:
 
 * the single-best Viterbi fallback (``DEGRADE_VITERBI``) must return the
-  rank-1 result of the *full* top-k lanes when run on the same assembled
-  plan — top-1 is the k=1 specialization of the same DP, not a separate
-  approximation;
+  rank-1 result of every *full* top-k algorithm when run on the same
+  assembled plan — top-1 is ``viterbi_topk(hmm, 1)[0]``, the same DP,
+  not a separate approximation;
 * the cached fallback (``DEGRADE_CACHED``) must return the identical
   full answer the cold path produced, bit for bit.
 
@@ -16,9 +16,8 @@ and the tests stay deterministic.
 
 import pytest
 
-from repro.core import astar_topk, astar_topk_vec, viterbi_top1, viterbi_topk
-from repro.core.reformulator import ReformulatorConfig, _TOPK_DECODERS
-from repro.core.viterbi import viterbi_top1_vec
+from repro.core import ALGORITHMS, astar_topk, decode_topk, viterbi_topk
+from repro.core.reformulator import ReformulatorConfig
 from repro.live import LiveReformulator
 from repro.server import (
     Deadline,
@@ -52,19 +51,17 @@ def server(live):
 
 
 class TestFallbackAgreesWithTopkRank1:
-    """The single-best fallback is rank-1 of every full lane, same plan."""
+    """The single-best fallback is rank-1 of every full algorithm, same plan."""
 
     @pytest.mark.parametrize("keywords", QUERIES, ids="-".join)
     def test_top1_is_rank1_of_every_topk_lane(self, live, keywords):
         hmm = live.pipeline().build_hmm(keywords)
-        expected = viterbi_top1_vec(hmm)
-        assert viterbi_top1(hmm).state_path == expected.state_path
-        assert viterbi_top1(hmm).score == expected.score
-        for (algorithm, impl), decode in _TOPK_DECODERS.items():
-            result = decode(hmm, 5)
-            first = (result.queries if algorithm.startswith("astar") else result)[0]
-            assert first.state_path == expected.state_path, (algorithm, impl)
-            assert first.score == expected.score, (algorithm, impl)
+        expected = viterbi_topk(hmm, 1)[0]
+        assert live.best(keywords) == expected
+        for algorithm in ALGORITHMS:
+            first = decode_topk(hmm, 5, algorithm)[0][0]
+            assert first.state_path == expected.state_path, algorithm
+            assert first.score == expected.score, algorithm
 
     @pytest.mark.parametrize("keywords", QUERIES, ids="-".join)
     def test_degraded_single_matches_raw_decode(self, server, live, keywords):
@@ -75,29 +72,12 @@ class TestFallbackAgreesWithTopkRank1:
         suggestions = list(result.suggestions)
         assert len(suggestions) == 1
         hmm = live.pipeline().build_hmm(keywords)
-        top1 = viterbi_top1_vec(hmm)
+        top1 = viterbi_topk(hmm, 1)[0]
         assert suggestions[0].state_path == top1.state_path
         assert suggestions[0].score == top1.score
-        full = astar_topk_vec(hmm, 4).queries
+        full = astar_topk(hmm, 4).queries
         assert suggestions[0].state_path == full[0].state_path
         assert suggestions[0].score == full[0].score
-        assert full == astar_topk(hmm, 4).queries
-
-    def test_reference_impl_live_best_is_bit_identical(self):
-        """`best()` under decode_impl="reference" matches the default lane."""
-        ref = LiveReformulator(
-            build_toy_database(),
-            ReformulatorConfig(n_candidates=6, decode_impl="reference"),
-        )
-        vec = LiveReformulator(
-            build_toy_database(),
-            ReformulatorConfig(n_candidates=6, decode_impl="vectorized"),
-        )
-        for keywords in QUERIES:
-            a, b = ref.best(keywords), vec.best(keywords)
-            assert (a.state_path, a.score, a.terms) == (
-                b.state_path, b.score, b.terms,
-            )
 
 
 class TestDegradedHandler:

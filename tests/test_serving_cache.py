@@ -113,7 +113,7 @@ class TestLogLanes:
 
     def test_log_lane_on_uncached_hmm(self, toy_graph):
         """The lazy log matrices work without a plan cache seeding them."""
-        from repro.core.viterbi import viterbi_top1, viterbi_top1_log
+        from repro.core.viterbi import viterbi_topk
 
         r = Reformulator(
             toy_graph, ReformulatorConfig(
@@ -121,7 +121,7 @@ class TestLogLanes:
             )
         )
         hmm = r.build_hmm(["probabilistic", "query"])
-        assert viterbi_top1_log(hmm) == viterbi_top1(hmm)
+        assert viterbi_topk(hmm, 1, log_space=True) == viterbi_topk(hmm, 1)
 
 
 # --------------------------------------------------------------------- #
