@@ -42,8 +42,8 @@ from repro.graph.tat import TATGraph
 from repro.index.inverted import InvertedIndex
 from repro.live import LiveReformulator
 from repro.offline import DeltaIngestor, OfflinePrecomputer
-from repro.offline_store import write_store_v2
 from repro.server.app import scored_to_dict
+from repro.storage.binary import write_store_v3
 from repro.storage.database import Database
 
 N_SIMILAR = 15
@@ -126,14 +126,14 @@ def probe_queries(delta_rows, n_queries=5):
 
 
 def _timed_full_build(database, out_dir):
-    """From-scratch offline stage over *database*, written as v2."""
+    """From-scratch offline stage over *database*, written as v3."""
     start = time.perf_counter()
     graph = TATGraph(database, InvertedIndex(database))
     store = OfflinePrecomputer(
         graph, n_similar=N_SIMILAR, closeness_top=CLOSENESS_TOP
     ).build_store(batch_size=128, walk_method="direct")
-    write_store_v2(
-        store, out_dir, n_shards=8,
+    write_store_v3(
+        store, out_dir,
         build_info={"n_similar": N_SIMILAR, "closeness_top": CLOSENESS_TOP},
     )
     return time.perf_counter() - start, graph

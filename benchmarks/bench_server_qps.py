@@ -18,11 +18,6 @@ Acceptance bars (asserted below):
 * **bit-identical suggestions** — every HTTP response equals the
   direct :meth:`LiveReformulator.reformulate` answer on
   ``(text, score, state_path)``; JSON floats round-trip exactly.
-* **v3 cold start >= 10x faster than the v2 JSON parse** — opening the
-  binary memmap store (checksums verified) through its first query vs
-  decoding the v2 shard directory;
-* **v3-backed responses bit-identical to v2-backed** on the same
-  queries;
 * **pre-fork pool >= 2.5x QPS at 4 workers vs 1** on decode-bound
   traffic (asserted where >= 4 cores exist; reported everywhere).
 
@@ -247,111 +242,11 @@ def test_overload_2x_capacity_sheds_cleanly(small_context):
 
 
 # --------------------------------------------------------------------- #
-# store format legs: v3 cold start + bit-identity, pre-fork scaling
+# pre-fork scaling leg
 # --------------------------------------------------------------------- #
 
-COLD_START_MIN_RATIO = 10.0
 PREFORK_MIN_RATIO = 2.5
 PREFORK_WORKERS = 4
-COLD_ROUNDS = 3
-
-
-@pytest.fixture(scope="module")
-def format_roots(context, tmp_path_factory):
-    """One precomputed relation store persisted as both v2 and v3.
-
-    Medium corpus, production-default row sizes (n_similar=20,
-    closeness_top=200): big enough that format cost dominates fixed
-    open overhead, small enough to build in seconds.
-    """
-    from repro.graph.closeness import ClosenessExtractor
-    from repro.offline import OfflinePrecomputer
-    from repro.storage.binary import write_store_v3
-
-    precomputer = OfflinePrecomputer(
-        context.graph, closeness=ClosenessExtractor(context.graph)
-    )
-    store = precomputer.build_store(batch_size=128, walk_method="direct")
-    base = tmp_path_factory.mktemp("store-formats")
-    v2_root = store.save_sharded(base / "v2", n_shards=8)
-    v3_root = write_store_v3(store, base / "v3")
-    return store, v2_root, v3_root
-
-
-def test_v3_cold_start_10x_faster_than_v2(format_roots, context):
-    """Cold start bar: opening the v3 memmap store (checksums verified)
-    through its first query beats decoding the v2 JSON shards >= 10x.
-
-    The v2 number is manifest + *all* shards decoded — what a worker
-    must pay before arbitrary queries stop stalling on lazy shard
-    loads, and exactly the parse the binary format deletes.  The v3
-    number keeps its default integrity pass (sha256 over every block),
-    so the bar is conservative: mmap open with verification still has
-    to beat the parse by 10x.
-    """
-    from repro.offline import TermRelationStore
-    from repro.storage.binary import BinaryTermRelationStore
-
-    store, v2_root, v3_root = format_roots
-    graph = context.graph
-    probe = _distinct_queries(context, n=1)[0]
-    node_ids = [graph.resolve_text_one(text) for text in probe[:2]]
-
-    def first_query(loaded):
-        return (
-            loaded.closeness(node_ids[0], node_ids[-1]),
-            [s.node_id for s in loaded.similar_nodes(node_ids[0], 5)],
-        )
-
-    def time_v2():
-        start = time.perf_counter()
-        loaded = TermRelationStore.load(v2_root, graph)
-        dict(loaded._items())  # decode every shard
-        answer = first_query(loaded)
-        return time.perf_counter() - start, answer
-
-    def time_v3():
-        start = time.perf_counter()
-        loaded = BinaryTermRelationStore.load(v3_root, graph)
-        answer = first_query(loaded)
-        return time.perf_counter() - start, answer
-
-    v2_runs = [time_v2() for _ in range(COLD_ROUNDS)]
-    v3_runs = [time_v3() for _ in range(COLD_ROUNDS)]
-    # same first-query answer out of both formats, bit for bit
-    assert len({repr(answer) for _, answer in v2_runs + v3_runs}) == 1
-    v2_s = min(seconds for seconds, _ in v2_runs)
-    v3_s = min(seconds for seconds, _ in v3_runs)
-    ratio = v2_s / v3_s
-    print("\n" + "=" * 60)
-    print(f"cold start over {len(store)} terms")
-    print(f"  v2 JSON shards : {v2_s * 1e3:8.1f} ms (full decode)")
-    print(f"  v3 memmap open : {v3_s * 1e3:8.1f} ms (verified + first query)")
-    print(f"  v2/v3          : {ratio:8.1f}x")
-    assert ratio >= COLD_START_MIN_RATIO
-
-
-def test_v3_responses_bit_identical_to_v2(format_roots, context):
-    """Store-backed reformulations agree across formats bit for bit."""
-    from repro.offline import TermRelationStore
-
-    _store, v2_root, v3_root = format_roots
-    graph = context.graph
-    v2 = TermRelationStore.load(v2_root, graph)
-    v3 = TermRelationStore.load(v3_root, graph)
-    config = _config()
-    pipeline_v2 = Reformulator(graph, config, similarity=v2, closeness=v2)
-    pipeline_v3 = Reformulator(graph, config, similarity=v3, closeness=v3)
-    for query in _distinct_queries(context, n=8):
-        expected = [
-            (sq.terms, sq.score, tuple(sq.state_path))
-            for sq in pipeline_v2.reformulate(query, k=K)
-        ]
-        got = [
-            (sq.terms, sq.score, tuple(sq.state_path))
-            for sq in pipeline_v3.reformulate(query, k=K)
-        ]
-        assert got == expected
 
 
 def _make_live_nocache(context):

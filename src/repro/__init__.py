@@ -62,7 +62,6 @@ from repro.index.phrases import (
     learn_phrases_from_database,
 )
 from repro.offline import OfflinePrecomputer, PrecomputeStats, TermRelationStore
-from repro.offline_store import ShardedTermRelationStore, migrate_v1_to_v2
 from repro.search import KeywordSearchEngine, ResultRanker, ResultSizeEstimator
 from repro.server import ReformulationServer, ServerClient, ServerConfig
 from repro.serving import PlanCache, ResultCache
@@ -74,6 +73,8 @@ from repro.storage import (
     TableSchema,
     TupleGraph,
 )
+from repro.storage.binary import write_store_v3
+from repro.storage.legacy import migrate_to_v3
 from repro.storage.schemaspec import load_database, save_database
 from repro.storage.triples import Literal, TripleStore
 
@@ -122,8 +123,8 @@ __all__ = [
     "OfflinePrecomputer",
     "PrecomputeStats",
     "TermRelationStore",
-    "ShardedTermRelationStore",
-    "migrate_v1_to_v2",
+    "write_store_v3",
+    "migrate_to_v3",
     "load_database",
     "save_database",
     "Literal",

@@ -8,8 +8,7 @@ One entry point with subcommands covering the full lifecycle::
     python -m repro.cli similar --data corpus/ probabilistic
     python -m repro.cli close --data corpus/ probabilistic
     python -m repro.cli search --data corpus/ probabilistic query
-    python -m repro.cli precompute --data corpus/ --out relations.json
-    python -m repro.cli precompute --data corpus/ --out store/ --shards 8 --batch-size 128 --workers 2
+    python -m repro.cli precompute --data corpus/ --out store/ --batch-size 128 --workers 2
     python -m repro.cli store migrate --data corpus/ --src relations.json --dest store/
     python -m repro.cli store info --data corpus/ --store store/
     python -m repro.cli reformulate --data corpus/ --relations store/ probabilistic query
@@ -49,6 +48,7 @@ from repro.index.inverted import InvertedIndex
 from repro.offline import OfflinePrecomputer, TermRelationStore
 from repro.search.keyword import KeywordSearchEngine
 from repro.search.ranking import ResultRanker
+from repro.storage.binary import write_store_v3
 from repro.storage.database import Database
 from repro.storage.schemaspec import load_database, save_database
 from repro.storage.tuplegraph import TupleGraph
@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         "precompute", help="materialize the offline stage to a relation store"
     )
     add_data(precompute)
-    precompute.add_argument("--out", required=True)
+    precompute.add_argument(
+        "--out", required=True, help="v3 store directory to write"
+    )
     precompute.add_argument("--similar", type=int, default=20)
     precompute.add_argument("--closeness-top", type=int, default=200)
     precompute.add_argument(
@@ -204,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     precompute.add_argument(
         "--walk-method", choices=("direct", "iterative"), default="direct",
         help="batched walk solver (direct = cached sparse LU)",
-    )
-    precompute.add_argument(
-        "--shards", type=int, default=0,
-        help="write the sharded v2 store with this many shards "
-             "(0 = single-file v1 format)",
     )
     precompute.add_argument(
         "--progress-every", type=int, default=0,
@@ -231,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data(ingest)
     ingest.add_argument(
         "--store", required=True,
-        help="directory-backed relation store (v2 shards or v3 binary)",
+        help="v3 relation store directory",
     )
     ingest.add_argument(
         "--rows", required=True,
@@ -404,23 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store.add_subparsers(dest="store_command", required=True)
     migrate = store_sub.add_parser(
         "migrate",
-        help="convert a store between formats: --to v2 (JSON shards) "
-             "or --to v3 (binary memmap blocks)",
+        help="convert a legacy store (v1 JSON file or v2 shard directory) "
+             "into a v3 binary store",
     )
     add_data(migrate)
     migrate.add_argument(
-        "--src", required=True,
-        help="source store (v1 file; v2 directory also accepted by --to v3)",
+        "--src", required=True, help="legacy store (v1 file or v2 directory)"
     )
-    migrate.add_argument("--dest", required=True, help="output directory")
-    migrate.add_argument(
-        "--to", choices=("v2", "v3"), default="v2",
-        help="target format (default v2 for backward compatibility)",
-    )
-    migrate.add_argument(
-        "--shards", type=int, default=8,
-        help="shard count for --to v2 (ignored by --to v3)",
-    )
+    migrate.add_argument("--dest", required=True, help="v3 output directory")
     info = store_sub.add_parser(
         "info", help="print a store's format, size and build metadata"
     )
@@ -677,27 +665,21 @@ def cmd_precompute(args, out) -> int:
         if args.trace:
             _print_trace(out)
     stats = precomputer.stats
-    if args.shards > 0:
-        store.save_sharded(
-            args.out,
-            n_shards=args.shards,
-            build_info={
-                "batch_size": stats.batch_size,
-                "workers": stats.workers,
-                "walk_method": stats.walk_method,
-                "terms_per_second": round(stats.terms_per_second, 1),
-                "n_similar": args.similar,
-                "closeness_top": args.closeness_top,
-            },
-        )
-        layout = f"{args.shards} shards"
-    else:
-        store.save(args.out)
-        layout = "v1 single file"
+    write_store_v3(
+        store,
+        args.out,
+        build_info={
+            "batch_size": stats.batch_size,
+            "workers": stats.workers,
+            "walk_method": stats.walk_method,
+            "terms_per_second": round(stats.terms_per_second, 1),
+            "n_similar": args.similar,
+            "closeness_top": args.closeness_top,
+        },
+    )
     logger.info(
-        "precomputed %d terms -> %s (%s, %.0f terms/s, max residual %.2e)",
-        len(store), args.out, layout,
-        stats.terms_per_second, stats.max_residual,
+        "precomputed %d terms -> %s (v3, %.0f terms/s, max residual %.2e)",
+        len(store), args.out, stats.terms_per_second, stats.max_residual,
     )
     if args.metrics_out:
         _write_metrics(args.metrics_out)
@@ -939,25 +921,13 @@ def cmd_store(args, out) -> int:
         return 0
     graph = TATGraph(database, InvertedIndex(database))
     if args.store_command == "migrate":
-        if args.to == "v3":
-            from repro.offline_store import migrate_to_v3
+        from repro.storage.legacy import migrate_to_v3
 
-            migrated = migrate_to_v3(args.src, args.dest, graph)
-            total = sum(b["bytes"] for b in migrated.blocks_info())
-            logger.info(
-                "migrated %d terms: %s -> %s (v3 binary, %d keys, %d bytes)",
-                len(migrated), args.src, args.dest,
-                migrated.n_keys, total,
-            )
-            return 0
-        from repro.offline_store import migrate_v1_to_v2
-
-        migrated = migrate_v1_to_v2(
-            args.src, args.dest, graph, n_shards=args.shards
-        )
+        migrated = migrate_to_v3(args.src, args.dest, graph)
+        total = sum(b["bytes"] for b in migrated.blocks_info())
         logger.info(
-            "migrated %d terms: %s -> %s (%d shards)",
-            len(migrated), args.src, args.dest, migrated.n_shards,
+            "migrated %d terms: %s -> %s (v3 binary, %d keys, %d bytes)",
+            len(migrated), args.src, args.dest, migrated.n_keys, total,
         )
         return 0
     store = TermRelationStore.load(args.store, graph)
@@ -971,18 +941,15 @@ def cmd_store(args, out) -> int:
         )
         print(f"layer epoch: {store.epoch}", file=out)
     else:
-        print(f"format version: {type(store).FORMAT_VERSION}", file=out)
+        print(f"format version: {inner.FORMAT_VERSION}", file=out)
     print(f"terms: {len(store)}", file=out)
-    if hasattr(inner, "n_shards"):
-        print(f"shards: {inner.n_shards}", file=out)
-    if hasattr(inner, "blocks_info"):
-        print(f"keys: {inner.n_keys}", file=out)
-        for block in inner.blocks_info():
-            print(
-                f"block.{block['role']}: {block['file']} "
-                f"({block['bytes']} bytes)",
-                file=out,
-            )
+    print(f"keys: {inner.n_keys}", file=out)
+    for block in inner.blocks_info():
+        print(
+            f"block.{block['role']}: {block['file']} "
+            f"({block['bytes']} bytes)",
+            file=out,
+        )
     if layered:
         for layer in store.layers_info():
             print(
@@ -991,9 +958,8 @@ def cmd_store(args, out) -> int:
                 f"{layer['n_invalidated']} invalidated)",
                 file=out,
             )
-    if hasattr(store, "build_info"):
-        for key, value in sorted(store.build_info().items()):
-            print(f"build.{key}: {value}", file=out)
+    for key, value in sorted(store.build_info().items()):
+        print(f"build.{key}: {value}", file=out)
     return 0
 
 

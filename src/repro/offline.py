@@ -10,11 +10,11 @@ user would deploy it:
   (one cached sparse-LU factorization amortized over the vocabulary),
   closeness BFS rows are fanned across a thread pool — and materializes
   each term's similar-term list and closeness row;
-* :class:`TermRelationStore` holds the materialized relations, serves
-  them behind the same ``similar_nodes`` / ``closeness`` interfaces the
-  online stage consumes, and round-trips to a single JSON file (format
-  version 1) or, via :meth:`TermRelationStore.save_sharded`, to the
-  sharded format-version-2 layout of :mod:`repro.offline_store`.
+* :class:`TermRelationStore` holds the materialized relations and
+  serves them behind the same ``similar_nodes`` / ``closeness``
+  interfaces the online stage consumes; it is persisted as a v3 binary
+  store (:func:`repro.storage.binary.write_store_v3`) and reopened with
+  :meth:`TermRelationStore.load`.
 
 A store-backed :class:`~repro.core.reformulator.Reformulator` never runs
 a random walk or a BFS at query time.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import logging
-import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -120,19 +119,18 @@ class TermRelationStore:
     :class:`~repro.core.hmm.ReformulationHMM` unchanged.
 
     All reads route through the :meth:`_get` / :meth:`_keys` /
-    :meth:`_items` accessors; the sharded v2 store
-    (:class:`repro.offline_store.ShardedTermRelationStore`) overrides
-    just those to serve the same interface from lazily-loaded shards.
+    :meth:`_items` accessors; the memmapped v3 store
+    (:class:`repro.storage.binary.BinaryTermRelationStore`) and the
+    layered store (:class:`repro.storage.layers.LayeredTermRelationStore`)
+    override them to serve the same interface from disk.
     """
-
-    FORMAT_VERSION = 1
 
     def __init__(self, graph: TATGraph) -> None:
         self.graph = graph
         self._relations: Dict[str, TermRelations] = {}
 
     # ------------------------------------------------------------------ #
-    # storage accessors (the override surface of the sharded store)
+    # storage accessors (the override surface of the on-disk stores)
     # ------------------------------------------------------------------ #
 
     def _get(self, key: str) -> Optional[TermRelations]:
@@ -238,111 +236,39 @@ class TermRelationStore:
     def precompute(self, node_ids: Iterable[int]) -> None:
         """No-op: the store *is* the precomputation (interface parity)."""
 
-    # ------------------------------------------------------------------ #
-    # serialization
-    # ------------------------------------------------------------------ #
-
-    def save(self, path: PathLike) -> None:
-        """Write the store as one JSON document (format version 1)."""
-        payload = {
-            "format_version": TermRelationStore.FORMAT_VERSION,
-            "terms": {
-                key: {
-                    "similar": relations.similar,
-                    "closeness": relations.closeness,
-                }
-                for key, relations in self._items()
-            },
-        }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-    def save_sharded(
-        self,
-        path: PathLike,
-        n_shards: int = 8,
-        build_info: Optional[Dict[str, object]] = None,
-    ) -> Path:
-        """Write the sharded v2 layout; see :mod:`repro.offline_store`."""
-        from repro.offline_store import write_store_v2
-
-        return write_store_v2(
-            self, path, n_shards=n_shards, build_info=build_info
-        )
-
     @classmethod
     def load(cls, path: PathLike, graph: TATGraph) -> "TermRelationStore":
-        """Load a store written by any supported format (v1/v2/v3).
+        """Open a v3 store directory (or its ``manifest.json``).
 
-        A directory (or a path to its ``manifest.json``) is dispatched on
-        the manifest's ``format_version``: 3 opens as a memmapped
-        :class:`~repro.storage.binary.BinaryTermRelationStore`, otherwise
-        it comes back as a lazily-loading
-        :class:`~repro.offline_store.ShardedTermRelationStore` (v2); a
-        plain file is the single-document v1 format.  A directory store
-        carrying a ``layers/layers.json`` delta chain comes back wrapped
-        in a :class:`~repro.storage.layers.LayeredTermRelationStore`.
+        A store carrying a ``layers/layers.json`` delta chain comes back
+        wrapped in a :class:`~repro.storage.layers.LayeredTermRelationStore`.
+        A publish that a crash interrupted is rolled forward first
+        (:func:`~repro.storage.binary.roll_forward`).  Legacy v1 files
+        and v2 directories raise :class:`ReproError` naming
+        ``repro store migrate``.
         """
-        p = Path(path)
-        if p.is_dir() or p.name == "manifest.json":
-            root = p if p.is_dir() else p.parent
-            manifest_path = root / "manifest.json"
-            version = None
-            if manifest_path.exists():
-                # A manifest that exists but cannot be read or parsed is a
-                # corrupt store — fail loudly with the path and cause
-                # instead of falling through to a confusing v2 error.
-                try:
-                    version = json.loads(
-                        manifest_path.read_text(encoding="utf-8")
-                    ).get("format_version")
-                except (OSError, json.JSONDecodeError) as exc:
-                    raise ReproError(
-                        f"cannot read store manifest {manifest_path}: {exc}"
-                    ) from exc
-            if version == 3:
-                from repro.storage.binary import BinaryTermRelationStore
+        from repro.storage import layers as layer_io
+        from repro.storage.binary import (
+            MANIFEST_NAME,
+            BinaryTermRelationStore,
+            LegacyStoreError,
+            roll_forward,
+        )
 
-                base: TermRelationStore = BinaryTermRelationStore.load(
-                    root, graph
-                )
-            else:
-                from repro.offline_store import ShardedTermRelationStore
-
-                base = ShardedTermRelationStore.load(p, graph)
-            from repro.storage import layers as layer_io
-
-            if layer_io.chain_path(root).exists():
-                return layer_io.LayeredTermRelationStore.load(
-                    root, base, graph
-                )
-            return base
-        try:
-            payload = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(f"cannot load term relations from {path}: {exc}")
-        if payload.get("format_version") != cls.FORMAT_VERSION:
-            raise ReproError(
-                f"{path}: unsupported format version "
-                f"{payload.get('format_version')!r}"
+        root = Path(path)
+        if root.name == MANIFEST_NAME and not root.is_dir():
+            root = root.parent
+        roll_forward(root)
+        if root.is_file():
+            raise LegacyStoreError(
+                f"{root}: single-file (v1) stores are migration input "
+                f"only; convert it with `repro store migrate --src {root} "
+                "--dest DIR`"
             )
-        store = cls(graph)
-
-        def canon(key: str) -> str:
-            # canonicalize legacy raw (unescaped) v1 keys to escaped form
-            # so FieldTerm lookups find them; identity for escaped keys
-            return _term_key(_parse_term_key(key))
-
-        for key, data in payload.get("terms", {}).items():
-            store._relations[canon(key)] = TermRelations(
-                similar=[
-                    (canon(k), float(s)) for k, s in data.get("similar", [])
-                ],
-                closeness={
-                    canon(k): float(c)
-                    for k, c in data.get("closeness", {}).items()
-                },
-            )
-        return store
+        base = BinaryTermRelationStore.load(root, graph)
+        if layer_io.chain_path(root).exists():
+            return layer_io.LayeredTermRelationStore.load(root, base, graph)
+        return base
 
 
 @dataclass
@@ -676,14 +602,16 @@ class DeltaIngestor:
         walk_method: str = DEFAULT_WALK_METHOD,
     ) -> None:
         from repro.storage import layers as layer_io
+        from repro.storage.binary import roll_forward
 
         self.database = database
         self.store_path = Path(store_path)
+        roll_forward(self.store_path)
         if not self.store_path.is_dir():
             raise ReproError(
                 f"{self.store_path}: delta layers need a directory-backed "
-                "store (v2 shards or v3 binary); single-file v1 stores "
-                "cannot stack layers"
+                "v3 store; convert a single-file v1 store with "
+                "`repro store migrate`"
             )
         manifest_path = self.store_path / "manifest.json"
         try:
@@ -692,7 +620,7 @@ class DeltaIngestor:
             raise ReproError(
                 f"cannot read store manifest {manifest_path}: {exc}"
             ) from exc
-        self._manifest = manifest
+        self._base_version = manifest.get("format_version")
         build = manifest.get("build") or {}
         layer_params: Dict[str, object] = {}
         chain = layer_io.read_chain(self.store_path)
@@ -751,6 +679,12 @@ class DeltaIngestor:
         from repro.storage import layers as layer_io
 
         self._check_rows(rows)
+        if self._base_version != 3:
+            raise ReproError(
+                f"{self.store_path}: base store is format "
+                f"v{self._base_version}; rebuild it as v3 with "
+                "`repro store compact` before ingesting"
+            )
         registry = obs.registry()
         start = time.perf_counter()
         stats = DeltaIngestStats(n_rows=len(rows))
@@ -898,11 +832,13 @@ class DeltaIngestor:
         """Fold the base and every layer into a fresh base build.
 
         Rebuilds the whole store over the current database (erasing the
-        documented similar-row staleness of stacked layers), writes it in
-        the base's format, atomically swaps it into place, and clears the
-        layer chain.  Returns the store path.
+        documented similar-row staleness of stacked layers) and durably
+        writes it as a v3 store over the old one, layer chain included
+        (:func:`~repro.storage.binary.write_store_v3`).  Returns the
+        store path.
         """
         from repro.index.inverted import InvertedIndex
+        from repro.storage.binary import FORMAT_VERSION, write_store_v3
 
         canonical = TATGraph(self.database, InvertedIndex(self.database))
         precomputer = OfflinePrecomputer(
@@ -915,42 +851,16 @@ class DeltaIngestor:
             walk_method=self.walk_method,
             progress=progress,
         )
-        build_info = {
-            "compacted": True,
-            "n_similar": self.n_similar,
-            "closeness_top": self.closeness_top,
-            "walk_method": self.walk_method,
-            "terms": len(store),
-        }
-        tmp = self.store_path.with_name(self.store_path.name + ".compact-new")
-        old = self.store_path.with_name(self.store_path.name + ".compact-old")
-        for leftover in (tmp, old):
-            if leftover.exists():
-                shutil.rmtree(leftover)
-        if self._manifest.get("format_version") == 3:
-            from repro.storage.binary import write_store_v3
-
-            write_store_v3(store, tmp, build_info=build_info)
-        else:
-            from repro.offline_store import write_store_v2
-
-            write_store_v2(
-                store,
-                tmp,
-                n_shards=int(self._manifest.get("n_shards", 8)),
-                build_info=build_info,
-            )
-        self.store_path.rename(old)
-        tmp.rename(self.store_path)
-        shutil.rmtree(old)
-        try:
-            self._manifest = json.loads(
-                (self.store_path / "manifest.json").read_text(
-                    encoding="utf-8"
-                )
-            )
-        except (OSError, json.JSONDecodeError) as exc:  # pragma: no cover
-            raise ReproError(
-                f"compacted store manifest unreadable: {exc}"
-            ) from exc
+        write_store_v3(
+            store,
+            self.store_path,
+            build_info={
+                "compacted": True,
+                "n_similar": self.n_similar,
+                "closeness_top": self.closeness_top,
+                "walk_method": self.walk_method,
+                "terms": len(store),
+            },
+        )
+        self._base_version = FORMAT_VERSION
         return self.store_path

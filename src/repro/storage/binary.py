@@ -1,13 +1,9 @@
 """Binary memmap-able term-relation store — format version 3.
 
-Format v1 is one JSON document, v2 a directory of JSON shards: both pay
-a JSON parse per process, and every process keeps its own decoded copy
-of the vocabulary on the heap.  That is exactly the wrong shape for a
-pre-fork worker pool (:mod:`repro.server.prefork`), where N processes
-serve the *same* read-only relations.
-
-Version 3 stores the relations as numpy ``.npy`` blocks opened with
-``np.load(..., mmap_mode="r")`` plus an offset-indexed string table:
+Version 3 is the only format the program writes (precompute, migrate,
+compact and every delta layer).  It stores the relations as numpy
+``.npy`` blocks opened with ``np.load(..., mmap_mode="r")`` plus an
+offset-indexed string table:
 
 .. code-block:: text
 
@@ -29,29 +25,32 @@ Design points:
   store reads the manifest, maps the blocks, and checks a few boundary
   values; no term is decoded until it is looked up.
 * **N processes share one physical copy.**  The blocks are mapped
-  read-only, so every worker of a pre-fork pool faults the same page
-  cache pages; per-process heap grows only with the tiny lookup caches.
+  read-only, so every worker of a pre-fork pool
+  (:mod:`repro.server.prefork`) faults the same page cache pages;
+  per-process heap grows only with the tiny lookup caches.
 * **Lookups are zero-copy.**  ``closeness(a, b)`` is a binary search
   over the memmapped ``close_cols`` row (the rows are written sorted);
   ``similar_nodes`` slices the rank-ordered ``similar_*`` rows and
   decodes only the keys it returns.  No JSON, no dict materialization
   on the online path.
-* **Bit-identical to v1/v2.**  The stored values are the same float64
-  scores the JSON formats carry; only the container changed, so a
-  store-backed pipeline answers identically across formats (asserted in
-  ``tests/test_store_binary.py`` and ``benchmarks/bench_server_qps.py``).
+* **Crash-safe writes.**  :func:`write_store_v3` builds the blocks in a
+  staging directory, ``fsync``s each one, writes the manifest last and
+  renames the directory into place (:mod:`repro.storage.durable`);
+  :func:`roll_forward` finishes a swap a crash interrupted.
 
 The manifest carries a SHA-256 per block.  ``load(..., verify=True)``
 (the default) checks them before serving; pass ``verify=False`` to skip
 the hash pass when the store is trusted (e.g. freshly migrated in the
-same job).  See ``docs/store_formats.md`` for the full layout and
-migration matrix.
+same job).  The legacy JSON formats (v1, v2) are migration input only
+(:mod:`repro.storage.legacy`).  See ``docs/store_formats.md`` for the
+full layout and the durability rules.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -70,6 +69,7 @@ from repro.offline import (
     _parse_term_key,
     _term_key,
 )
+from repro.storage import durable
 
 FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
@@ -122,17 +122,35 @@ def write_store_v3(
     path: PathLike,
     build_info: Optional[Dict[str, object]] = None,
 ) -> Path:
-    """Write *store* as a v3 block directory; returns the directory path.
+    """Durably write *store* as a v3 block directory; returns its path.
+
+    The blocks are built in a sibling staging directory and renamed over
+    *path* only once complete (see :mod:`repro.storage.durable`), so a
+    crash leaves the previous store at *path* or the new one.
+    """
+    root = Path(path)
+    staged = durable.staging_dir(root)
+    write_blocks(store, staged, build_info)
+    durable.publish_dir(staged, root)
+    return root
+
+
+def write_blocks(
+    store: TermRelationStore,
+    root: Path,
+    build_info: Optional[Dict[str, object]] = None,
+) -> None:
+    """Write the v3 blocks of *store* into the existing directory *root*.
 
     The key table holds every key the store mentions — stored terms plus
     keys referenced only from similar lists or closeness rows — sorted
     by UTF-8 bytes so the reader can binary-search without an index
     structure.  Closeness rows are re-sorted by column index (dict order
-    is not semantic); similar rows keep their rank order.
+    is not semantic); similar rows keep their rank order.  Each file is
+    ``fsync``ed; the manifest is written last, so a directory holding a
+    manifest holds every block it names.
     """
-    root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-
     relations: Dict[str, TermRelations] = dict(store._items())
     all_keys = set(relations)
     for rel in relations.values():
@@ -180,13 +198,16 @@ def write_store_v3(
         "close_scores": np.asarray(close_scores, dtype=np.float64),
     }
 
-    (root / BLOCK_FILES["keys"]).write_bytes(b"".join(encoded))
+    durable.write_file(root / BLOCK_FILES["keys"], b"".join(encoded))
     for role, array in blocks_data.items():
-        np.save(root / BLOCK_FILES[role], array)
+        with open(root / BLOCK_FILES[role], "wb") as handle:
+            np.save(handle, array)
+            handle.flush()
+            os.fsync(handle.fileno())
 
     bytes_written = obs.registry().counter(
         "repro_offline_store_bytes_written_total",
-        "Bytes of shard data written by write_store_v2",
+        "Bytes of v3 block data written by write_store_v3",
     )
     blocks = []
     for role in BLOCK_ROLES:
@@ -206,10 +227,32 @@ def write_store_v3(
         "blocks": blocks,
         "build": dict(build_info or {}),
     }
-    (root / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2), encoding="utf-8"
+    durable.write_file(
+        root / MANIFEST_NAME, json.dumps(manifest, indent=2).encode("utf-8")
     )
-    return root
+    durable.fsync_dir(root)
+
+
+def roll_forward(root: PathLike) -> None:
+    """Finish a publish that a crash interrupted between its renames.
+
+    When *root* is missing but its staging directory holds a manifest
+    whose blocks verify, the staging directory is renamed into place.
+    Otherwise nothing changes.
+    """
+    root = Path(root)
+    staged = durable.sibling(root, durable.STAGING_SUFFIX)
+    if root.exists() or not (staged / MANIFEST_NAME).exists():
+        return
+    try:
+        verify_blocks(staged, load_manifest_v3(staged))
+    except ReproError:
+        return
+    durable.swap_in(staged, root)
+
+
+class LegacyStoreError(ReproError):
+    """A v1 file or v2 directory was opened where v3 is required."""
 
 
 def load_manifest_v3(root: PathLike) -> Dict[str, object]:
@@ -219,8 +262,13 @@ def load_manifest_v3(root: PathLike) -> Dict[str, object]:
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot load term relations from {root}: {exc}")
+        raise ReproError(f"cannot load term relations from {path}: {exc}")
     version = manifest.get("format_version")
+    if version in (1, 2):
+        raise LegacyStoreError(
+            f"{root}: format v{version} stores are migration input only; "
+            f"convert it with `repro store migrate --src {root} --dest DIR`"
+        )
     if version != FORMAT_VERSION:
         raise ReproError(f"{root}: unsupported format version {version!r}")
     blocks = manifest.get("blocks")
@@ -239,6 +287,25 @@ def load_manifest_v3(root: PathLike) -> Dict[str, object]:
     ):
         raise ReproError(f"{path}: manifest is missing n_keys/n_terms")
     return manifest
+
+
+def verify_blocks(root: Path, manifest: Dict[str, object]) -> None:
+    """Hash every block under *root* against *manifest*; raise on mismatch."""
+    blocks = {block["role"]: block for block in manifest["blocks"]}
+    for role in BLOCK_ROLES:
+        block = blocks[role]
+        path = root / block["file"]
+        try:
+            actual = _sha256_file(path)
+        except OSError as exc:
+            raise ReproError(
+                f"cannot load term relations from {path}: {exc}"
+            )
+        if actual != block.get("sha256"):
+            raise ReproError(
+                f"{path}: block checksum mismatch "
+                f"(manifest {block.get('sha256')}, file {actual})"
+            )
 
 
 class BinaryTermRelationStore(TermRelationStore):
@@ -326,20 +393,7 @@ class BinaryTermRelationStore(TermRelationStore):
 
     def verify_checksums(self) -> None:
         """Hash every block against the manifest; raise on any mismatch."""
-        for role in BLOCK_ROLES:
-            block = self._blocks[role]
-            path = self.root / block["file"]
-            try:
-                actual = _sha256_file(path)
-            except OSError as exc:
-                raise ReproError(
-                    f"cannot load term relations from {path}: {exc}"
-                )
-            if actual != block.get("sha256"):
-                raise ReproError(
-                    f"{path}: block checksum mismatch "
-                    f"(manifest {block.get('sha256')}, file {actual})"
-                )
+        verify_blocks(self.root, self.manifest)
 
     def _map_keys_blob(self) -> np.ndarray:
         path = self.root / self._blocks["keys"]["file"]

@@ -11,15 +11,22 @@ workers keep sharing one physical memmap/page-cache copy):
 .. code-block:: text
 
     store/
-      manifest.json          # the base build (v2 shards or v3 binary)
+      manifest.json          # the base build (v3 binary)
       ...
       layers/
         layers.json          # the layer chain, newest last
         delta-0001/
           layer.json         # epoch, ingested rows, invalidated keys, params
-          store/             # v2 mini-store with the recomputed rows
+          store/             # v3 mini-store with the recomputed rows
         delta-0002/
           ...
+
+A layer is appended durably: ``delta-NNNN`` is built and ``fsync``ed in
+a staging directory, renamed into place, and only then listed in a new
+``layers.json`` (itself written to a temporary file, ``fsync``ed and
+``os.replace``d).  A crash at any point leaves the chain at the old
+epoch or the new one; a ``delta-NNNN`` the chain does not list is the
+garbage of an interrupted append, replaced by the next one.
 
 Reads resolve newest-layer-first: a term key stored in a layer shadows
 every older layer and the base.  Closeness rows are *epoch-checked* —
@@ -51,6 +58,12 @@ from repro.offline import (
     TermRelationStore,
     _parse_term_key,
     _term_key,
+)
+from repro.storage import durable
+from repro.storage.binary import (
+    BinaryTermRelationStore,
+    LegacyStoreError,
+    write_blocks,
 )
 
 #: Chain format marker written into ``layers.json``.
@@ -106,8 +119,9 @@ def latest_epoch(store_root: PathLike) -> int:
 def _write_chain(store_root: PathLike, chain: Dict[str, object]) -> None:
     path = chain_path(store_root)
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(chain, indent=2), encoding="utf-8")
+    durable.write_file(tmp, json.dumps(chain, indent=2).encode("utf-8"))
     os.replace(tmp, path)  # readers see the old or the new chain, never half
+    durable.fsync_dir(path.parent)
 
 
 def layer_dirname(epoch: int) -> str:
@@ -133,8 +147,6 @@ def write_layer(
     *invalidated* lists the term keys whose stored closeness rows this
     layer makes stale without recomputing them.
     """
-    from repro.offline_store import write_store_v2
-
     root = Path(store_root)
     chain = read_chain(root)
     layers: List[Dict[str, object]] = chain["layers"]
@@ -144,12 +156,8 @@ def write_layer(
             f"{layers[-1]['epoch']}"
         )
     layer_dir = layers_root(root) / layer_dirname(epoch)
-    if layer_dir.exists():
-        raise ReproError(f"layer directory {layer_dir} already exists")
-    layer_dir.mkdir(parents=True)
-    write_store_v2(
-        delta_store, layer_dir / "store", n_shards=1, build_info=build_info
-    )
+    staged = durable.staging_dir(layer_dir)
+    write_blocks(delta_store, staged / "store", build_info)
     meta = {
         "epoch": epoch,
         "n_rows": len(rows),
@@ -157,9 +165,14 @@ def write_layer(
         "invalidated": sorted(invalidated),
         "params": dict(params),
     }
-    (layer_dir / LAYER_META_NAME).write_text(
-        json.dumps(meta), encoding="utf-8"
+    durable.write_file(
+        staged / LAYER_META_NAME, json.dumps(meta).encode("utf-8")
     )
+    durable.fsync_dir(staged)
+    if layer_dir.exists():
+        # newer than the chain tip, so unlisted: an interrupted append
+        shutil.rmtree(layer_dir)
+    durable.publish_dir(staged, layer_dir)
     layers.append({
         "dir": layer_dirname(epoch),
         "epoch": epoch,
@@ -237,7 +250,7 @@ class LayeredTermRelationStore(TermRelationStore):
         self,
         graph,
         root: PathLike,
-        base: TermRelationStore,
+        base: BinaryTermRelationStore,
         layers: Sequence[_Layer],
         closeness_cache: int = DEFAULT_CLOSENESS_CACHE,
     ) -> None:
@@ -286,19 +299,29 @@ class LayeredTermRelationStore(TermRelationStore):
 
     @classmethod
     def load(
-        cls, root: PathLike, base: TermRelationStore, graph
+        cls, root: PathLike, base: BinaryTermRelationStore, graph
     ) -> "LayeredTermRelationStore":
-        """Open the chain beside an already-opened base store."""
-        from repro.offline_store import ShardedTermRelationStore
+        """Open the chain beside an already-opened base store.
 
+        A chain holding a layer in a legacy JSON format raises
+        :class:`ReproError` naming ``repro store compact``, which
+        rebuilds the store from the database.
+        """
         root = Path(root)
         layers: List[_Layer] = []
         for entry in read_chain(root)["layers"]:
             dirname = str(entry["dir"])
             meta = read_layer_meta(root, dirname)
-            store = ShardedTermRelationStore.load(
-                layers_root(root) / dirname / "store", graph
-            )
+            try:
+                store = BinaryTermRelationStore.load(
+                    layers_root(root) / dirname / "store", graph
+                )
+            except LegacyStoreError as exc:
+                raise ReproError(
+                    f"{root}: delta layer {dirname} is in a legacy format; "
+                    "fold the chain into a fresh v3 base with "
+                    "`repro store compact`"
+                ) from exc
             layers.append(_Layer(
                 epoch=int(entry["epoch"]),
                 store=store,
@@ -336,16 +359,9 @@ class LayeredTermRelationStore(TermRelationStore):
             for layer in self._layers
         ]
 
-    def base_format_version(self) -> object:
-        """Format version of the base store under the chain."""
-        return getattr(type(self.base), "FORMAT_VERSION", None)
-
     def build_info(self) -> Dict[str, object]:
         """Base build metadata plus the chain summary."""
-        info: Dict[str, object] = {}
-        base_info = getattr(self.base, "build_info", None)
-        if callable(base_info):
-            info.update(base_info())
+        info = self.base.build_info()
         info["layers"] = self.n_layers
         info["layer_epoch"] = self.epoch
         return info

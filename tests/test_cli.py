@@ -1,6 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -189,7 +190,7 @@ class TestSearch:
 
 class TestPrecompute:
     def test_precompute_then_serve(self, toy_dir, tmp_path):
-        relations = tmp_path / "relations.json"
+        relations = tmp_path / "store"
         code, text = run([
             "precompute", "--data", str(toy_dir),
             "--out", str(relations), "--similar", "6",
@@ -208,12 +209,12 @@ class TestPrecompute:
         store_dir = tmp_path / "store"
         code, text = run([
             "precompute", "--data", str(toy_dir),
-            "--out", str(store_dir), "--shards", "4",
+            "--out", str(store_dir),
             "--batch-size", "8", "--workers", "2",
             "--progress-every", "5",
         ])
         assert code == 0
-        assert "4 shards" in text
+        assert "(v3, " in text
         assert "terms/s" in text
         assert "precomputed 8/15 terms" in text  # per-batch progress
         assert (store_dir / "manifest.json").exists()
@@ -228,8 +229,7 @@ class TestPrecompute:
     def test_store_info(self, toy_dir, tmp_path):
         store_dir = tmp_path / "store"
         code, _ = run([
-            "precompute", "--data", str(toy_dir),
-            "--out", str(store_dir), "--shards", "3",
+            "precompute", "--data", str(toy_dir), "--out", str(store_dir),
         ])
         assert code == 0
         code, text = run([
@@ -237,28 +237,33 @@ class TestPrecompute:
             "--store", str(store_dir),
         ])
         assert code == 0
-        assert "format version: 2" in text
-        assert "shards: 3" in text
+        assert "format version: 3" in text
+        assert "block.close_scores: close_scores.npy" in text
         assert "build.batch_size: 64" in text
 
     def test_store_migrate(self, toy_dir, tmp_path):
-        v1 = tmp_path / "relations.json"
-        code, _ = run([
-            "precompute", "--data", str(toy_dir), "--out", str(v1),
-        ])
-        assert code == 0
-        dest = tmp_path / "v2"
+        v1 = Path(__file__).parent / "golden" / "relations_v1.json"
+        dest = tmp_path / "v3"
         code, text = run([
             "store", "migrate", "--data", str(toy_dir),
-            "--src", str(v1), "--dest", str(dest), "--shards", "2",
+            "--src", str(v1), "--dest", str(dest),
         ])
         assert code == 0
-        assert "migrated" in text and "2 shards" in text
+        assert "migrated" in text and "v3 binary" in text
         code, text = run([
             "store", "info", "--data", str(toy_dir), "--store", str(dest),
         ])
         assert code == 0
         assert "build.migrated_from" in text
+
+    def test_legacy_store_is_migration_input_only(self, toy_dir, capsys):
+        v1 = Path(__file__).parent / "golden" / "relations_v1.json"
+        code = main([
+            "reformulate", "--data", str(toy_dir), "--relations", str(v1),
+            "probabilistic", "query",
+        ], out=io.StringIO())
+        assert code == 1
+        assert "repro store migrate" in capsys.readouterr().err
 
     def test_store_info_missing_is_error(self, toy_dir, tmp_path):
         code = main([
@@ -306,7 +311,7 @@ class TestStats:
         obs.reset()
         code, _ = run([
             "precompute", "--data", str(toy_dir),
-            "--out", str(tmp_path / "relations.json"),
+            "--out", str(tmp_path / "store"),
         ])
         assert code == 0
         code, text = run(["stats", "--format", "json"])
@@ -323,7 +328,7 @@ class TestStats:
         obs.reset()
         code, _ = run([
             "precompute", "--data", str(toy_dir),
-            "--out", str(tmp_path / "relations.json"),
+            "--out", str(tmp_path / "store"),
         ])
         assert code == 0
         code, text = run(["stats", "--format", "prometheus"])
@@ -340,7 +345,7 @@ class TestStats:
         metrics_file = tmp_path / "metrics.json"
         code, _ = run([
             "precompute", "--data", str(toy_dir),
-            "--out", str(tmp_path / "relations.json"),
+            "--out", str(tmp_path / "store"),
             "--metrics-out", str(metrics_file),
         ])
         assert code == 0
@@ -383,7 +388,7 @@ class TestTraceFlag:
         obs.reset()
         code, text = run([
             "precompute", "--data", str(toy_dir),
-            "--out", str(tmp_path / "relations.json"),
+            "--out", str(tmp_path / "store"),
             "--batch-size", "8", "--trace",
         ])
         assert code == 0
@@ -405,7 +410,7 @@ class TestVerbosity:
     def test_quiet_precompute_drops_progress(self, toy_dir, tmp_path):
         code, text = run([
             "--quiet", "precompute", "--data", str(toy_dir),
-            "--out", str(tmp_path / "relations.json"),
+            "--out", str(tmp_path / "store"),
             "--batch-size", "8", "--progress-every", "5",
         ])
         assert code == 0

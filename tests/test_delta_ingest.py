@@ -10,7 +10,6 @@ keep their stored bits (documented idf-drift staleness) until
 """
 
 import json
-import threading
 
 import pytest
 
@@ -23,12 +22,8 @@ from repro.offline import (
     OfflinePrecomputer,
     TermRelationStore,
 )
-from repro.offline_store import (
-    ShardedTermRelationStore,
-    shard_of,
-    write_store_v2,
-)
 from repro.storage import layers as layer_io
+from repro.storage.binary import BinaryTermRelationStore, write_store_v3
 from repro.storage.database import Database
 from repro.storage.layers import LayeredTermRelationStore
 
@@ -68,15 +63,14 @@ def _split_corpus(n_held=2, seed=13):
     return base, delta_rows
 
 
-def _build_base_store(database, path, n_shards=4):
+def _build_base_store(database, path):
     graph = TATGraph(database, InvertedIndex(database))
     store = OfflinePrecomputer(
         graph, n_similar=N_SIMILAR, closeness_top=CLOSENESS_TOP
     ).build_store(walk_method="direct")
-    return write_store_v2(
+    return write_store_v3(
         store,
         path,
-        n_shards=n_shards,
         build_info={"n_similar": N_SIMILAR, "closeness_top": CLOSENESS_TOP},
     )
 
@@ -181,7 +175,7 @@ class TestLoadErrors:
         root.mkdir()
         manifest = root / "manifest.json"
         manifest.write_text("{broken", encoding="utf-8")
-        with pytest.raises(ReproError, match="manifest"):
+        with pytest.raises(ReproError, match=str(manifest)):
             TermRelationStore.load(root, toy_graph)
 
     def test_missing_manifest_still_reports_not_a_store(
@@ -191,44 +185,6 @@ class TestLoadErrors:
         root.mkdir()
         with pytest.raises(ReproError):
             TermRelationStore.load(root, toy_graph)
-
-
-class TestShardCacheThreadSafety:
-    """Satellite: concurrent `_get` must not corrupt the shard LRU."""
-
-    def test_hammer(self, tmp_path, small_graph):
-        store = OfflinePrecomputer(
-            small_graph, n_similar=4, closeness_top=10
-        ).build_store(walk_method="direct")
-        root = write_store_v2(store, tmp_path / "store", n_shards=8)
-        sharded = ShardedTermRelationStore.load(
-            root, small_graph, cache_shards=2
-        )
-        keys = sorted(k for k, _ in store._items())
-        assert keys
-        errors = []
-
-        def worker(offset):
-            try:
-                for i in range(200):
-                    key = keys[(offset + i) % len(keys)]
-                    relations = sharded._get(key)
-                    assert relations is not None
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(i * 7,)) for i in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        stats = sharded.cache_stats()
-        # every lookup is counted exactly once under the lock
-        assert stats["hits"] + stats["misses"] == 8 * 200
-        assert stats["resident_shards"] <= 2
 
 
 class TestDeltaIngestor:
@@ -244,7 +200,8 @@ class TestDeltaIngestor:
         assert isinstance(layered, LayeredTermRelationStore)
         assert layered.epoch == 1
         assert layered.n_layers == 1
-        assert layered.base_format_version() == 2
+        assert isinstance(layered.base, BinaryTermRelationStore)
+        assert isinstance(layered._layers[0].store, BinaryTermRelationStore)
 
     def test_vocabulary_matches_oracle(self, ingested):
         assert set(ingested["layered"]._keys()) == set(
@@ -304,6 +261,54 @@ class TestDeltaIngestor:
         assert explicit.n_similar == 3
 
 
+class TestFailedIngest:
+    def test_failed_layer_write_does_not_block_the_next_ingest(
+        self, tmp_path, monkeypatch
+    ):
+        """A layer write that fails must leave nothing the next ingest
+        trips over, and the next ingest must stay exact."""
+        base_db, delta_rows = _split_corpus(n_held=2, seed=144)
+        root = _build_base_store(base_db, tmp_path / "store")
+
+        def broken_items(self):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TermRelationStore, "_items", broken_items)
+            with pytest.raises(OSError, match="disk full"):
+                DeltaIngestor(base_db, root).ingest(delta_rows)
+        assert layer_io.latest_epoch(root) == 0
+
+        # the next run starts from the corpus on disk, like `repro ingest`
+        fresh_db, _ = _split_corpus(n_held=2, seed=144)
+        assert DeltaIngestor(fresh_db, root).ingest(delta_rows).epoch == 1
+        graph, oracle = _oracle_store(fresh_db)
+        layered = TermRelationStore.load(root, graph)
+        assert layered.n_layers == 1
+        assert set(layered._keys()) == set(oracle._keys())
+        for key in oracle._keys():
+            got, want = layered._get(key), oracle._get(key)
+            assert got.closeness == want.closeness, key
+        for key in layered._layers[0].store._keys():
+            assert layered._get(key).similar == oracle._get(key).similar, key
+
+    def test_legacy_layer_names_compact(self, ingested, tmp_path):
+        import shutil
+
+        root = tmp_path / "store"
+        shutil.copytree(ingested["root"], root)
+        manifest = root / "layers" / "delta-0001" / "store" / "manifest.json"
+        manifest.write_text(json.dumps({"format_version": 2, "shards": []}))
+        graph = ingested["layered"].graph
+        with pytest.raises(ReproError, match="repro store compact"):
+            TermRelationStore.load(root, graph)
+        # compact needs only layer.json params and the database
+        DeltaIngestor(ingested["db"], root).compact()
+        store = TermRelationStore.load(root, graph)
+        assert isinstance(store, BinaryTermRelationStore)
+        assert set(store._keys()) == set(ingested["oracle"]._keys())
+
+
 class TestMultiLayer:
     def test_two_ingests_stack_and_stay_exact(self, tmp_path):
         base_db, delta_rows = _split_corpus(n_held=4, seed=21)
@@ -338,8 +343,8 @@ class TestMultiLayer:
         ingestor.compact()
         graph, oracle = _oracle_store(base_db)
         store = TermRelationStore.load(root, graph)
-        # chain gone: plain sharded base again
-        assert isinstance(store, ShardedTermRelationStore)
+        # chain gone: plain v3 base again
+        assert isinstance(store, BinaryTermRelationStore)
         assert not isinstance(store, LayeredTermRelationStore)
         assert layer_io.latest_epoch(root) == 0
         assert set(store._keys()) == set(oracle._keys())
@@ -449,8 +454,3 @@ class TestLiveIngest:
 
         assert LiveReformulator(toy_db).sync_ingest() == 0
 
-
-def test_shard_of_is_stable():
-    assert shard_of("papers\x1ftitle\x1fquery", 8) == shard_of(
-        "papers\x1ftitle\x1fquery", 8
-    )

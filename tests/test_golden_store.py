@@ -5,13 +5,12 @@ built from the toy corpus (plus one legacy raw-piped key, the
 pre-escaping v1 idiom); ``expected_topk.json`` pins the store-backed
 top-k suggestions for ten queries.  Together they freeze
 
-* the v1 on-disk format and its back-compat load path,
+* the v1 input format and its migration to v3,
 * the store-backed reformulation output end to end, and
 * the :class:`ReproError` messages of every load failure mode.
 """
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,10 @@ from repro.errors import ReproError
 from repro.graph.closeness import ClosenessExtractor
 from repro.index.inverted import FieldTerm
 from repro.offline import OfflinePrecomputer, TermRelationStore
-from repro.offline_store import migrate_v1_to_v2
+from repro.storage.binary import BinaryTermRelationStore
+from repro.storage.legacy import migrate_to_v3, read_legacy_store
+
+from tests.test_property_store import write_v2
 
 GOLDEN = Path(__file__).parent / "golden"
 V1_FIXTURE = GOLDEN / "relations_v1.json"
@@ -29,8 +31,10 @@ EXPECTED = json.loads((GOLDEN / "expected_topk.json").read_text())
 
 
 @pytest.fixture(scope="module")
-def golden_store(toy_graph):
-    return TermRelationStore.load(V1_FIXTURE, toy_graph)
+def golden_store(toy_graph, tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden") / "v3"
+    migrate_to_v3(V1_FIXTURE, root, toy_graph)
+    return TermRelationStore.load(root, toy_graph)
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +47,15 @@ def golden_reformulator(toy_graph, golden_store):
     )
 
 
+def _golden_v2(toy_graph, root):
+    """The golden fixture rewritten as a v2 shard directory."""
+    return write_v2(read_legacy_store(V1_FIXTURE, toy_graph), root, 2)
+
+
 class TestV1BackCompat:
     def test_loads(self, golden_store, toy_index):
         # vocabulary terms + the injected legacy key
+        assert isinstance(golden_store, BinaryTermRelationStore)
         assert len(golden_store) == toy_index.vocabulary_size() + 1
 
     def test_legacy_raw_piped_key_parses(self, golden_store):
@@ -53,14 +63,20 @@ class TestV1BackCompat:
         assert legacy in golden_store
         assert any(t == legacy for t in golden_store.terms())
 
-    def test_migrates_to_v2(self, toy_graph, tmp_path):
-        migrated = migrate_v1_to_v2(
-            V1_FIXTURE, tmp_path / "v2", toy_graph, n_shards=4
+    def test_migrates_to_v3(self, golden_store):
+        assert golden_store.build_info() == {
+            "migrated_from": str(V1_FIXTURE),
+            "migrated_from_version": 1,
+        }
+
+    def test_v2_input_migrates_to_identical_relations(
+        self, toy_graph, golden_store, tmp_path
+    ):
+        migrated = migrate_to_v3(
+            _golden_v2(toy_graph, tmp_path / "v2"), tmp_path / "v3", toy_graph
         )
-        assert len(migrated) == len(
-            TermRelationStore.load(V1_FIXTURE, toy_graph)
-        )
-        assert migrated.build_info()["migrated_from"] == str(V1_FIXTURE)
+        assert migrated.build_info()["migrated_from_version"] == 2
+        assert dict(migrated._items()) == dict(golden_store._items())
 
 
 class TestGoldenTopK:
@@ -70,10 +86,8 @@ class TestGoldenTopK:
             (s.text, s.score)
             for s in golden_reformulator.reformulate(query.split(), k=5)
         ]
-        expected = EXPECTED[query]
-        assert [t for t, _ in got] == [t for t, _ in expected]
-        for (_, a), (_, b) in zip(got, expected):
-            assert a == pytest.approx(b, rel=1e-9)
+        # the migrated v3 store answers the pinned output bit for bit
+        assert got == [tuple(pair) for pair in EXPECTED[query]]
 
     def test_freshly_built_store_matches_golden(self, toy_graph):
         """The current batched pipeline reproduces the pinned output."""
@@ -96,11 +110,13 @@ class TestGoldenTopK:
 
 
 class TestErrorMessages:
-    """The load failure modes keep their actionable messages."""
+    """The load and migrate failure modes keep their actionable messages."""
 
     def test_missing_file(self, toy_graph, tmp_path):
         with pytest.raises(ReproError, match="cannot load term relations"):
             TermRelationStore.load(tmp_path / "nope.json", toy_graph)
+        with pytest.raises(ReproError, match="cannot load term relations"):
+            migrate_to_v3(tmp_path / "nope.json", tmp_path / "v3", toy_graph)
 
     def test_missing_manifest(self, toy_graph, tmp_path):
         empty = tmp_path / "empty-store"
@@ -114,7 +130,21 @@ class TestErrorMessages:
         with pytest.raises(
             ReproError, match="unsupported format version 99"
         ):
-            TermRelationStore.load(path, toy_graph)
+            migrate_to_v3(path, tmp_path / "v3", toy_graph)
+        root = tmp_path / "v99"
+        root.mkdir()
+        (root / "manifest.json").write_text(json.dumps({"format_version": 99}))
+        with pytest.raises(
+            ReproError, match="unsupported format version 99"
+        ):
+            TermRelationStore.load(root, toy_graph)
+
+    def test_load_names_migrate_for_legacy_inputs(self, toy_graph, tmp_path):
+        with pytest.raises(ReproError, match="repro store migrate"):
+            TermRelationStore.load(V1_FIXTURE, toy_graph)
+        root = _golden_v2(toy_graph, tmp_path / "v2")
+        with pytest.raises(ReproError, match="repro store migrate"):
+            TermRelationStore.load(root, toy_graph)
 
     def test_manifest_missing_shard_table(self, toy_graph, tmp_path):
         root = tmp_path / "broken"
@@ -123,68 +153,18 @@ class TestErrorMessages:
             json.dumps({"format_version": 2, "n_terms": 0})
         )
         with pytest.raises(ReproError, match="shard table"):
-            TermRelationStore.load(root, toy_graph)
+            migrate_to_v3(root, tmp_path / "v3", toy_graph)
 
     def test_shard_checksum_mismatch(self, toy_graph, tmp_path):
-        migrated = migrate_v1_to_v2(
-            V1_FIXTURE, tmp_path / "v2", toy_graph, n_shards=2
-        )
-        shard = migrated.root / migrated._shard_meta[0]["file"]
+        root = _golden_v2(toy_graph, tmp_path / "v2")
+        shard = root / "shard-0000.json"
         shard.write_bytes(shard.read_bytes() + b" ")
-        fresh = TermRelationStore.load(migrated.root, toy_graph)
         with pytest.raises(ReproError, match="checksum mismatch"):
-            fresh._load_shard(0)
+            migrate_to_v3(root, tmp_path / "v3", toy_graph)
+        assert not (tmp_path / "v3").exists()
 
     def test_missing_shard_file(self, toy_graph, tmp_path):
-        migrated = migrate_v1_to_v2(
-            V1_FIXTURE, tmp_path / "v2", toy_graph, n_shards=2
-        )
-        (migrated.root / migrated._shard_meta[1]["file"]).unlink()
-        fresh = TermRelationStore.load(migrated.root, toy_graph)
-        # the intact shard still serves; only the missing one raises
-        assert fresh._load_shard(0)
+        root = _golden_v2(toy_graph, tmp_path / "v2")
+        (root / "shard-0001.json").unlink()
         with pytest.raises(ReproError, match="cannot load term relations"):
-            fresh._load_shard(1)
-
-    def test_sharded_store_is_read_only(self, toy_graph, tmp_path):
-        migrated = migrate_v1_to_v2(
-            V1_FIXTURE, tmp_path / "v2", toy_graph, n_shards=2
-        )
-        with pytest.raises(ReproError, match="read-only"):
-            migrated.put(FieldTerm(("papers", "title"), "x"), [], {})
-
-
-class TestLaziness:
-    """Opening a v2 store must not read any shard file."""
-
-    def test_open_reads_manifest_only(self, toy_graph, tmp_path):
-        migrated = migrate_v1_to_v2(
-            V1_FIXTURE, tmp_path / "v2", toy_graph, n_shards=4
-        )
-        # reopen fresh, then delete every shard: the manifest alone
-        # must be enough to open and size the store
-        root = tmp_path / "copy"
-        shutil.copytree(migrated.root, root)
-        for meta in migrated._shard_meta:
-            (root / meta["file"]).unlink()
-        store = TermRelationStore.load(root, toy_graph)
-        assert len(store) == len(migrated)
-        assert store.cache_stats() == {
-            "hits": 0, "misses": 0, "resident_shards": 0
-        }
-
-    def test_lru_eviction_and_counters(self, toy_graph, tmp_path):
-        from repro.offline_store import ShardedTermRelationStore
-
-        migrate_v1_to_v2(V1_FIXTURE, tmp_path / "v2", toy_graph, n_shards=4)
-        store = ShardedTermRelationStore.load(
-            tmp_path / "v2", toy_graph, cache_shards=2
-        )
-        for index in (0, 1, 2, 3, 0):
-            store._load_shard(index)
-        stats = store.cache_stats()
-        assert stats["resident_shards"] == 2
-        assert stats["misses"] == 5  # shard 0 was evicted before its reuse
-        store._load_shard(3)
-        assert store.shard_hits == 1
-        assert 0 < store.hit_rate() < 1
+            migrate_to_v3(root, tmp_path / "v3", toy_graph)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.reformulator import ReformulatorConfig
 from repro.live import LiveReformulator
+from repro.storage.binary import write_store_v3
 
 from tests.conftest import build_toy_database
 
@@ -100,7 +101,7 @@ class TestStoreBackedServing:
         database = build_toy_database()
         graph = TATGraph(database, InvertedIndex(database).build())
         store = OfflinePrecomputer(graph, n_similar=8).build_store()
-        root = store.save_sharded(tmp_path / "v2", n_shards=4)
+        root = write_store_v3(store, tmp_path / "v3")
 
         live = LiveReformulator(
             database,
@@ -120,7 +121,7 @@ class TestStoreBackedServing:
         database = build_toy_database()
         graph = TATGraph(database, InvertedIndex(database).build())
         store = OfflinePrecomputer(graph, n_similar=8).build_store()
-        root = store.save_sharded(tmp_path / "v2", n_shards=4)
+        root = write_store_v3(store, tmp_path / "v3")
 
         live = LiveReformulator(
             database, ReformulatorConfig(n_candidates=5), relations=root
@@ -137,7 +138,7 @@ class TestStoreBackedServing:
         assert [s.text for s in after] == [s.text for s in before]
 
 
-def _build_sharded_live(tmp_path, n_candidates=5):
+def _build_store_live(tmp_path, n_candidates=5):
     from repro.graph.tat import TATGraph
     from repro.index.inverted import InvertedIndex
     from repro.offline import OfflinePrecomputer
@@ -145,7 +146,7 @@ def _build_sharded_live(tmp_path, n_candidates=5):
     database = build_toy_database()
     graph = TATGraph(database, InvertedIndex(database).build())
     store = OfflinePrecomputer(graph, n_similar=8).build_store()
-    root = store.save_sharded(tmp_path / "v2", n_shards=4)
+    root = write_store_v3(store, tmp_path / "v3")
     return LiveReformulator(
         database, ReformulatorConfig(n_candidates=n_candidates),
         relations=root,
@@ -155,8 +156,8 @@ def _build_sharded_live(tmp_path, n_candidates=5):
 class TestStoreCache:
     def test_store_loaded_once_across_rebuilds(self, tmp_path):
         """Rebuilds reuse the loaded store (rebound to the new graph)
-        instead of re-reading shard files from disk every time."""
-        live = _build_sharded_live(tmp_path)
+        instead of reopening the store from disk every time."""
+        live = _build_store_live(tmp_path)
         live.reformulate(["probabilistic", "query"], k=2)
         store_before = live.pipeline().similarity
         live.insert("papers", {
@@ -169,7 +170,7 @@ class TestStoreCache:
         assert store_after.graph is live.pipeline().graph
 
     def test_reload_relations_rereads_from_disk(self, tmp_path):
-        live = _build_sharded_live(tmp_path)
+        live = _build_store_live(tmp_path)
         live.reformulate(["probabilistic", "query"], k=2)
         store_before = live.pipeline().similarity
         version = live.version
@@ -180,7 +181,7 @@ class TestStoreCache:
         assert live.pipeline().similarity is not store_before
 
     def test_cached_store_still_serves_correctly(self, tmp_path):
-        live = _build_sharded_live(tmp_path)
+        live = _build_store_live(tmp_path)
         before = live.reformulate(["probabilistic", "query"], k=3)
         live.invalidate()
         after = live.reformulate(["probabilistic", "query"], k=3)
@@ -192,7 +193,7 @@ class TestServingMetrics:
     def test_rebuild_and_staleness_metrics(self, tmp_path):
         from repro import obs
 
-        live = _build_sharded_live(tmp_path)
+        live = _build_store_live(tmp_path)
         obs.reset()
         with obs.enabled():
             live.reformulate(["probabilistic", "query"], k=2)
@@ -212,7 +213,7 @@ class TestServingMetrics:
     def test_no_metrics_recorded_when_disabled(self, tmp_path):
         from repro import obs
 
-        live = _build_sharded_live(tmp_path)
+        live = _build_store_live(tmp_path)
         obs.reset()
         assert not obs.is_enabled()
         live.reformulate(["probabilistic", "query"], k=2)

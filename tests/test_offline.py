@@ -14,6 +14,7 @@ from repro.offline import (
     _parse_term_key,
     _term_key,
 )
+from repro.storage.binary import write_store_v3
 
 TITLE = ("papers", "title")
 
@@ -125,8 +126,7 @@ class TestStore:
 
 class TestSerialization:
     def test_roundtrip(self, store, toy_graph, tmp_path):
-        path = tmp_path / "relations.json"
-        store.save(path)
+        path = write_store_v3(store, tmp_path / "relations")
         loaded = TermRelationStore.load(path, toy_graph)
         assert len(loaded) == len(store)
         prob = toy_graph.term_node_id(FieldTerm(TITLE, "probabilistic"))

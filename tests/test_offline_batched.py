@@ -166,7 +166,7 @@ class TestStats:
 
 
 class TestStoreBackedTopK:
-    """The v2 store must serve the same top-k as the live extractors."""
+    """The v3 store must serve the same top-k as the live extractors."""
 
     QUERIES = [
         ["probabilistic", "query"],
@@ -175,27 +175,27 @@ class TestStoreBackedTopK:
     ]
 
     @pytest.fixture(scope="class")
-    def sharded(self, small_graph, tmp_path_factory):
+    def binary(self, small_graph, tmp_path_factory):
+        from repro.storage.binary import write_store_v3
+
         precomputer = OfflinePrecomputer(
             small_graph, n_similar=15, closeness_top=200
         )
         store = precomputer.build_store(batch_size=128, workers=2)
-        root = store.save_sharded(
-            tmp_path_factory.mktemp("store") / "v2", n_shards=8
-        )
+        root = write_store_v3(store, tmp_path_factory.mktemp("store") / "v3")
         return TermRelationStore.load(root, small_graph)
 
-    def test_loads_as_sharded(self, sharded):
-        from repro.offline_store import ShardedTermRelationStore
+    def test_loads_as_binary(self, binary):
+        from repro.storage.binary import BinaryTermRelationStore
 
-        assert isinstance(sharded, ShardedTermRelationStore)
+        assert isinstance(binary, BinaryTermRelationStore)
 
     @pytest.mark.parametrize("query", QUERIES, ids=[" ".join(q) for q in QUERIES])
-    def test_same_topk_as_live(self, small_graph, sharded, query):
+    def test_same_topk_as_live(self, small_graph, binary, query):
         config = ReformulatorConfig(n_candidates=10)
         live = Reformulator(small_graph, config)
         cached = Reformulator(
-            small_graph, config, similarity=sharded, closeness=sharded
+            small_graph, config, similarity=binary, closeness=binary
         )
         live_out = [(s.text, s.score) for s in live.reformulate(query, k=5)]
         cached_out = [(s.text, s.score) for s in cached.reformulate(query, k=5)]

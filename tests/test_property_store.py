@@ -1,10 +1,14 @@
 """Property-based tests for term keys and the relation stores.
 
 Hypothesis drives arbitrary term keys — pipes, backslashes, unicode —
-through the key codec and both serialization formats, and checks the
-structural invariants of the stored relation lists (truncation length,
-descending order).
+through the key codec, the v3 writer and the legacy (v1/v2) migration
+path, and checks the structural invariants of the stored relation lists
+(truncation length, descending order).
 """
+
+import hashlib
+import json
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +22,7 @@ from repro.offline import (
     _parse_term_key,
     _term_key,
 )
-from repro.offline_store import ShardedTermRelationStore, shard_of
+from repro.storage.legacy import migrate_to_v3
 
 from tests.strategies import field_terms
 
@@ -52,16 +56,6 @@ class TestTermKeyCodec:
             _parse_term_key("just-one-part")
 
 
-class TestShardAssignment:
-    @given(term=field_terms(), n=st.integers(min_value=1, max_value=64))
-    @store_settings
-    def test_in_range_and_stable(self, term, n):
-        key = _term_key(term)
-        index = shard_of(key, n)
-        assert 0 <= index < n
-        assert shard_of(key, n) == index
-
-
 @st.composite
 def relation_stores(draw):
     """(terms, similar lists, closeness rows) for an arbitrary store."""
@@ -89,15 +83,46 @@ def _populate(graph, rows):
     return store
 
 
+def _entry(relations):
+    return {"similar": relations.similar, "closeness": relations.closeness}
+
+
+def write_v1(store, path):
+    """A format-v1 JSON file, as older releases wrote it."""
+    terms = {key: _entry(rel) for key, rel in store._items()}
+    path.write_text(
+        json.dumps({"format_version": 1, "terms": terms}), encoding="utf-8"
+    )
+    return path
+
+
+def write_v2(store, root, n_shards=4):
+    """A format-v2 shard directory, as older releases wrote it."""
+    buckets = [{} for _ in range(n_shards)]
+    for key, rel in store._items():
+        buckets[zlib.crc32(key.encode("utf-8")) % n_shards][key] = _entry(rel)
+    root.mkdir(parents=True)
+    shards = []
+    for index, bucket in enumerate(buckets):
+        blob = json.dumps({"terms": bucket}).encode("utf-8")
+        name = f"shard-{index:04d}.json"
+        (root / name).write_bytes(blob)
+        shards.append({"file": name, "sha256": hashlib.sha256(blob).hexdigest()})
+    manifest = {"format_version": 2, "n_shards": n_shards, "shards": shards}
+    (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return root
+
+
 class TestStoreRoundtrip:
     @given(rows=relation_stores())
     @store_settings
     def test_v1_roundtrip_identity(self, toy_graph, tmp_path_factory, rows):
         store = _populate(toy_graph, rows)
-        path = tmp_path_factory.mktemp("prop") / "store.json"
-        store.save(path)
-        loaded = TermRelationStore.load(path, toy_graph)
-        assert loaded._relations == store._relations
+        tmp = tmp_path_factory.mktemp("prop")
+        migrated = migrate_to_v3(
+            write_v1(store, tmp / "store.json"), tmp / "v3", toy_graph
+        )
+        assert dict(migrated._items()) == store._relations
 
     @given(rows=relation_stores(), n_shards=st.integers(min_value=1, max_value=9))
     @store_settings
@@ -105,16 +130,12 @@ class TestStoreRoundtrip:
         self, toy_graph, tmp_path_factory, rows, n_shards
     ):
         store = _populate(toy_graph, rows)
-        root = store.save_sharded(
-            tmp_path_factory.mktemp("prop") / "v2", n_shards=n_shards
+        tmp = tmp_path_factory.mktemp("prop")
+        migrated = migrate_to_v3(
+            write_v2(store, tmp / "v2", n_shards), tmp / "v3", toy_graph
         )
-        loaded = TermRelationStore.load(root, toy_graph)
-        assert isinstance(loaded, ShardedTermRelationStore)
-        assert len(loaded) == len(store)
-        assert dict(loaded._items()) == store._relations
-        # every term resolves through the lazy single-shard path too
-        for term, _similar, _closeness in rows:
-            assert term in loaded
+        assert len(migrated) == len(store)
+        assert dict(migrated._items()) == store._relations
 
     @given(rows=relation_stores())
     @store_settings
@@ -123,11 +144,11 @@ class TestStoreRoundtrip:
     ):
         store = _populate(toy_graph, rows)
         tmp = tmp_path_factory.mktemp("prop")
-        store.save(tmp / "v1.json")
-        store.save_sharded(tmp / "v2", n_shards=4)
+        v1 = migrate_to_v3(
+            write_v1(store, tmp / "v1.json"), tmp / "from-v1", toy_graph
+        )
+        v2 = migrate_to_v3(write_v2(store, tmp / "v2"), tmp / "from-v2", toy_graph)
         expected = sorted(map(repr, store.terms()))
-        v1 = TermRelationStore.load(tmp / "v1.json", toy_graph)
-        v2 = TermRelationStore.load(tmp / "v2", toy_graph)
         assert sorted(map(repr, v1.terms())) == expected
         assert sorted(map(repr, v2.terms())) == expected
 

@@ -361,17 +361,16 @@ class TestPoolIngest:
         from repro.graph.tat import TATGraph
         from repro.index.inverted import InvertedIndex
         from repro.offline import OfflinePrecomputer
-        from repro.offline_store import write_store_v2
+        from repro.storage.binary import write_store_v3
 
         database = build_toy_database()
         graph = TATGraph(database, InvertedIndex(database))
         store = OfflinePrecomputer(
             graph, n_similar=8, closeness_top=30
         ).build_store(walk_method="direct")
-        root = write_store_v2(
+        root = write_store_v3(
             store,
             tmp_path_factory.mktemp("pool-store") / "store",
-            n_shards=2,
             build_info={"n_similar": 8, "closeness_top": 30},
         )
         live = LiveReformulator(

@@ -1,9 +1,9 @@
 """Tests for the v3 binary memmap store (`repro.storage.binary`).
 
-Covers the format roundtrip (including adversarial term keys), v2↔v3
-equivalence down to bit-identical store-backed reformulations,
-corruption/checksum rejection, concurrent multi-process opens over one
-physical store, and migration entry points.
+Covers the format roundtrip (including adversarial term keys), legacy
+(v1/v2) → v3 migration down to bit-identical store-backed
+reformulations, corruption/checksum rejection, concurrent multi-process
+opens over one physical store, and migration entry points.
 """
 
 from __future__ import annotations
@@ -20,15 +20,20 @@ from repro.core.reformulator import Reformulator, ReformulatorConfig
 from repro.errors import ReproError
 from repro.graph.closeness import ClosenessExtractor
 from repro.offline import OfflinePrecomputer, TermRelationStore
-from repro.offline_store import migrate_to_v3
 from repro.storage.binary import (
     BLOCK_FILES,
     BinaryTermRelationStore,
     write_store_v3,
 )
+from repro.storage.legacy import migrate_to_v3
 
 from tests.strategies import field_terms  # noqa: F401  (used via strategy)
-from tests.test_property_store import _populate, relation_stores
+from tests.test_property_store import (
+    _populate,
+    relation_stores,
+    write_v1,
+    write_v2,
+)
 
 store_settings = settings(
     deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -72,12 +77,12 @@ class TestRoundtrip:
     def test_full_store_items_match_v2(
         self, toy_store, toy_graph, toy_v3, tmp_path
     ):
-        v2 = TermRelationStore.load(
-            toy_store.save_sharded(tmp_path / "v2", n_shards=4), toy_graph
+        from_v2 = migrate_to_v3(
+            write_v2(toy_store, tmp_path / "v2"), tmp_path / "v3", toy_graph
         )
-        assert dict(toy_v3._items()) == dict(v2._items())
+        assert dict(toy_v3._items()) == dict(from_v2._items())
         assert sorted(map(repr, toy_v3.terms())) == sorted(
-            map(repr, v2.terms())
+            map(repr, from_v2.terms())
         )
 
     def test_load_dispatch_picks_binary(self, toy_v3, toy_graph):
@@ -109,6 +114,24 @@ class TestRoundtrip:
         assert roles == set(BLOCK_FILES)
 
 
+    def test_write_replaces_a_store_and_refuses_other_dirs(
+        self, toy_store, toy_graph, tmp_path
+    ):
+        root = write_store_v3(TermRelationStore(toy_graph), tmp_path / "v3")
+        write_store_v3(toy_store, root)
+        assert len(BinaryTermRelationStore.load(root, toy_graph)) == len(
+            toy_store
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v3"]
+        precious = tmp_path / "data"
+        precious.mkdir()
+        (precious / "notes.txt").write_text("keep me")
+        with pytest.raises(ReproError, match="refusing to replace"):
+            write_store_v3(toy_store, precious)
+        assert (precious / "notes.txt").read_text() == "keep me"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "v3"]
+
+
 class TestOnlineInterfaces:
     def test_point_lookups_match_dict_store(self, toy_store, toy_v3):
         # every stored pair answers identically through the memmap paths
@@ -136,9 +159,10 @@ class TestOnlineInterfaces:
     def test_reformulation_bit_identical_across_formats(
         self, toy_store, toy_graph, toy_v3, tmp_path
     ):
-        # the acceptance bar: store-backed top-k identical to the digit
-        v2 = TermRelationStore.load(
-            toy_store.save_sharded(tmp_path / "v2", n_shards=4), toy_graph
+        # the acceptance bar: store-backed top-k identical to the digit,
+        # between the in-memory store, its v3 write and a v2 migration
+        v2 = migrate_to_v3(
+            write_v2(toy_store, tmp_path / "v2"), tmp_path / "v3", toy_graph
         )
         config = ReformulatorConfig(n_candidates=5)
         queries = [
@@ -153,13 +177,14 @@ class TestOnlineInterfaces:
                     toy_graph, config, similarity=v2, closeness=v2
                 ).reformulate(query, k=5)
             ]
-            got = [
-                (sq.terms, sq.score)
-                for sq in Reformulator(
-                    toy_graph, config, similarity=toy_v3, closeness=toy_v3
-                ).reformulate(query, k=5)
-            ]
-            assert got == expected
+            for store in (toy_v3, toy_store):
+                got = [
+                    (sq.terms, sq.score)
+                    for sq in Reformulator(
+                        toy_graph, config, similarity=store, closeness=store
+                    ).reformulate(query, k=5)
+                ]
+                assert got == expected
 
 
 class TestCorruptionRejection:
@@ -223,9 +248,9 @@ class TestCorruptionRejection:
 
 class TestMigration:
     def test_migrate_from_v1(self, toy_store, toy_graph, tmp_path):
-        toy_store.save(tmp_path / "v1.json")
         migrated = migrate_to_v3(
-            tmp_path / "v1.json", tmp_path / "v3", toy_graph
+            write_v1(toy_store, tmp_path / "v1.json"), tmp_path / "v3",
+            toy_graph,
         )
         assert isinstance(migrated, BinaryTermRelationStore)
         assert dict(migrated._items()) == dict(toy_store._items())
@@ -233,7 +258,7 @@ class TestMigration:
         assert info["migrated_from_version"] == 1
 
     def test_migrate_from_v2(self, toy_store, toy_graph, tmp_path):
-        toy_store.save_sharded(tmp_path / "v2", n_shards=4)
+        write_v2(toy_store, tmp_path / "v2")
         migrated = migrate_to_v3(tmp_path / "v2", tmp_path / "v3", toy_graph)
         assert dict(migrated._items()) == dict(toy_store._items())
         assert migrated.build_info()["migrated_from_version"] == 2
