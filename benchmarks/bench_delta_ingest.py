@@ -28,6 +28,7 @@ bit-identity only, and writes the numbers as JSON::
 
 import json
 import shutil
+import tempfile
 import time
 
 import numpy as np
@@ -181,9 +182,20 @@ def _warm_start_stat(base_db, delta_rows):
     }
 
 
-def run(n_papers=1200, delta_frac=0.01, tmp_root="/tmp/bench_delta_ingest"):
-    """Full bench: timings, bit-identity probes, warm-start stat."""
-    shutil.rmtree(tmp_root, ignore_errors=True)
+def run(n_papers=1200, delta_frac=0.01):
+    """Full bench: timings, bit-identity probes, warm-start stat.
+
+    The stores go to a fresh temporary directory (under ``TMPDIR``),
+    removed when the run ends, so concurrent runs never share one.
+    """
+    tmp_root = tempfile.mkdtemp(prefix="bench_delta_ingest-")
+    try:
+        return _run_in(tmp_root, n_papers, delta_frac)
+    finally:
+        shutil.rmtree(tmp_root, ignore_errors=True)
+
+
+def _run_in(tmp_root, n_papers, delta_frac):
     base_db, delta_rows = split_corpus(n_papers, delta_frac)
     base_root = f"{tmp_root}/base"
     oracle_root = f"{tmp_root}/oracle"

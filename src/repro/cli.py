@@ -9,7 +9,7 @@ One entry point with subcommands covering the full lifecycle::
     python -m repro.cli close --data corpus/ probabilistic
     python -m repro.cli search --data corpus/ probabilistic query
     python -m repro.cli precompute --data corpus/ --out store/ --batch-size 128 --workers 2
-    python -m repro.cli store migrate --data corpus/ --src relations.json --dest store/
+    python -m repro.cli store migrate --src relations.json --dest store/
     python -m repro.cli store info --data corpus/ --store store/
     python -m repro.cli reformulate --data corpus/ --relations store/ probabilistic query
     python -m repro.cli reformulate --data corpus/ --batch queries.txt --workers 4
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="convert a legacy store (v1 JSON file or v2 shard directory) "
              "into a v3 binary store",
     )
-    add_data(migrate)
     migrate.add_argument(
         "--src", required=True, help="legacy store (v1 file or v2 directory)"
     )
@@ -904,6 +903,16 @@ def cmd_ingest(args, out) -> int:
 
 def cmd_store(args, out) -> int:
     """``store``: relation-store maintenance subcommands."""
+    if args.store_command == "migrate":
+        from repro.storage.legacy import migrate_to_v3
+
+        migrated = migrate_to_v3(args.src, args.dest)
+        total = sum(b["bytes"] for b in migrated.blocks_info())
+        logger.info(
+            "migrated %d terms: %s -> %s (v3 binary, %d keys, %d bytes)",
+            len(migrated), args.src, args.dest, migrated.n_keys, total,
+        )
+        return 0
     database = _load(args)
     if args.store_command == "compact":
         from repro.offline import DeltaIngestor
@@ -920,16 +929,6 @@ def cmd_store(args, out) -> int:
         )
         return 0
     graph = TATGraph(database, InvertedIndex(database))
-    if args.store_command == "migrate":
-        from repro.storage.legacy import migrate_to_v3
-
-        migrated = migrate_to_v3(args.src, args.dest, graph)
-        total = sum(b["bytes"] for b in migrated.blocks_info())
-        logger.info(
-            "migrated %d terms: %s -> %s (v3 binary, %d keys, %d bytes)",
-            len(migrated), args.src, args.dest, migrated.n_keys, total,
-        )
-        return 0
     store = TermRelationStore.load(args.store, graph)
     layered = hasattr(store, "layers_info")
     inner = store.base if layered else store

@@ -39,6 +39,14 @@ class ClosenessBackend(Protocol):
         """clos(a, b) per Eq 3."""
         ...
 
+    def closeness_block(
+        self, rows: Sequence[int], cols: Sequence[int]
+    ) -> np.ndarray:
+        """Raw Eq 3 values ``clos(rows[i], cols[j])`` as a float64 array
+        of shape ``(len(rows), len(cols))`` — one block read in place of
+        ``len(rows) * len(cols)`` point lookups."""
+        ...
+
 
 class FrequencyBackend(Protocol):
     """Provides term frequencies for Eq 7 (π)."""
@@ -329,14 +337,31 @@ def pair_closeness_matrix(
 ) -> np.ndarray:
     """Raw Eq 8 sub-matrix between two adjacent candidate lists.
 
-    This is the ``O(n²)`` closeness-lookup loop of the HMM build, pulled
-    out so the serving plan cache can memoize one matrix per adjacent
-    term pair instead of re-running the loop on every query.
+    The serving plan cache memoizes one such matrix per adjacent term
+    pair.  Every known state pair is read with a single
+    :meth:`ClosenessBackend.closeness_block` call; the rest is masks, in
+    this precedence: a transition touching a void state gets
+    *void_closeness*; one touching an unknown original term
+    (``node_id is None``) gets 0, leaving the floor to smoothing; a term
+    repeated in adjacent positions gets 0 (it never helps a keyword
+    query, and ``clos(v, v)`` is 0 by Eq 3's path definition).  Stored
+    values are clamped at 0.
     """
+    prev_void = np.array([s.is_void for s in prev], dtype=bool)
+    curr_void = np.array([s.is_void for s in curr], dtype=bool)
+    rows = [i for i, s in enumerate(prev) if _is_known(s)]
+    cols = [j for j, s in enumerate(curr) if _is_known(s)]
+    row_ids = [prev[i].node_id for i in rows]
+    col_ids = [curr[j].node_id for j in cols]
+    block = closeness.closeness_block(row_ids, col_ids)
+    # max(0, x) exactly as the scalar form: x where x > 0, else +0.0
+    # (so -0.0 and NaN both read 0.0)
+    block = np.where(block > 0.0, block, 0.0)
+    block[np.equal.outer(row_ids, col_ids)] = 0.0
     raw = np.zeros((len(prev), len(curr)), dtype=np.float64)
-    for a_idx, a in enumerate(prev):
-        for b_idx, b in enumerate(curr):
-            raw[a_idx, b_idx] = _state_closeness(a, b, closeness, void_closeness)
+    raw[np.ix_(rows, cols)] = block
+    raw[prev_void, :] = void_closeness
+    raw[:, curr_void] = void_closeness
     return raw
 
 
@@ -346,19 +371,7 @@ def log_matrix(values: np.ndarray) -> np.ndarray:
         return np.log(values)
 
 
-def _state_closeness(
-    a: CandidateState,
-    b: CandidateState,
-    closeness: ClosenessBackend,
-    void_closeness: float,
-) -> float:
-    """Closeness between two candidate states, handling void/unknown."""
-    if a.is_void or b.is_void:
-        return void_closeness
-    if a.node_id is None or b.node_id is None:
-        return 0.0  # unknown original term: smoothing provides the floor
-    if a.node_id == b.node_id:
-        # A term repeated in adjacent positions never helps a keyword
-        # query; clos(v,v) is 0 by Eq 3's path definition.
-        return 0.0
-    return max(0.0, closeness.closeness(a.node_id, b.node_id))
+
+def _is_known(state: CandidateState) -> bool:
+    """True for a term state with a node id (neither void nor unknown)."""
+    return not state.is_void and state.node_id is not None

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.scoring import ScoredQuery
 from repro.errors import ReproError
 from repro.graph.similarity import SimilarNode
@@ -183,6 +185,16 @@ class FeedbackAdaptor:
         return self.base_closeness.closeness(node_a, node_b) * (
             self._clos_boost.get((node_a, node_b), 1.0)
         )
+
+    def closeness_block(
+        self, rows: Sequence[int], cols: Sequence[int]
+    ) -> np.ndarray:
+        """Base closeness block times the learned boost of each pair."""
+        boost = np.array(
+            [[self._clos_boost.get((a, b), 1.0) for b in cols] for a in rows],
+            dtype=np.float64,
+        ).reshape(len(rows), len(cols))
+        return self.base_closeness.closeness_block(rows, cols) * boost
 
     def precompute(self, node_ids) -> None:
         """Delegate cache warming to the wrapped backend."""

@@ -220,6 +220,22 @@ class ClosenessExtractor:
             return 0.0
         return pinfo.closeness
 
+    def closeness_block(
+        self, rows: Sequence[int], cols: Sequence[int]
+    ) -> np.ndarray:
+        """clos of every (row, col) node pair: one :meth:`paths_from`
+        per row, then one dict lookup per column."""
+        out = np.zeros((len(rows), len(cols)), dtype=np.float64)
+        if not out.size:
+            return out
+        for i, node_a in enumerate(rows):
+            reached = self.paths_from(node_a)
+            out[i] = [
+                0.0 if pinfo is None else pinfo.closeness
+                for pinfo in map(reached.get, cols)
+            ]
+        return out
+
     def distance(self, node_a: int, node_b: int) -> Optional[int]:
         """Shortest-path hop distance, or None when out of reach."""
         if node_a == node_b:

@@ -28,7 +28,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from repro import obs
 from repro.errors import ReproError
@@ -232,6 +244,33 @@ class TermRelationStore:
         if relations is None:
             return 0.0
         return relations.closeness.get(_term_key(term_b), 0.0)
+
+    def closeness_block(
+        self, rows: Sequence[int], cols: Sequence[int]
+    ) -> np.ndarray:
+        """Stored clos of every (row, col) node pair: one :meth:`_get`
+        per row, then one dict lookup per column key (0 outside the
+        row).  A layered store's invalidated rows thus take its exact
+        lazy recompute, as in :meth:`closeness`."""
+        out = np.zeros((len(rows), len(cols)), dtype=np.float64)
+        if not out.size:
+            return out
+        col_keys = [self._node_key(node) for node in cols]
+        for i, node in enumerate(rows):
+            key = self._node_key(node)
+            relations = None if key is None else self._get(key)
+            if relations is None:
+                continue
+            row = relations.closeness
+            out[i] = [
+                0.0 if col is None else row.get(col, 0.0) for col in col_keys
+            ]
+        return out
+
+    def _node_key(self, node_id: int) -> Optional[str]:
+        """Term key of a node, or None for a non-term node."""
+        term = self._term_of_node(node_id)
+        return None if term is None else _term_key(term)
 
     def precompute(self, node_ids: Iterable[int]) -> None:
         """No-op: the store *is* the precomputation (interface parity)."""

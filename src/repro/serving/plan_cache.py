@@ -7,7 +7,8 @@ recomputed all of them on every query:
 * resolving the candidate list ``L(q_i)`` (similarity-backend lookups);
 * the Eq 7 frequency column and Eq 9 raw similarity column of that list;
 * the Eq 8 pairwise closeness sub-matrix between two adjacent lists,
-  an ``O(n²)`` python loop over closeness lookups.
+  ``n²`` values read with one ``closeness_block`` call (one row read
+  per candidate, see :func:`repro.core.hmm.pair_closeness_matrix`).
 
 The plan cache memoizes those blocks in two LRU layers:
 

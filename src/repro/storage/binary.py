@@ -28,8 +28,12 @@ Design points:
   read-only, so every worker of a pre-fork pool
   (:mod:`repro.server.prefork`) faults the same page cache pages;
   per-process heap grows only with the tiny lookup caches.
-* **Lookups are zero-copy.**  ``closeness(a, b)`` is a binary search
-  over the memmapped ``close_cols`` row (the rows are written sorted);
+* **Lookups are zero-copy block reads.**  ``closeness_block(rows,
+  cols)`` — the Eq 8 sub-matrix between two candidate lists — resolves
+  each node to its key-table index once, then runs one
+  ``searchsorted`` of all the column indices per memmapped
+  ``close_cols`` row (the rows are written sorted) and gathers the
+  scores with one fancy index; ``closeness(a, b)`` is its 1×1 case.
   ``similar_nodes`` slices the rank-ordered ``similar_*`` rows and
   decodes only the keys it returns.  No JSON, no dict materialization
   on the online path.
@@ -53,7 +57,7 @@ import json
 import os
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -315,7 +319,8 @@ class BinaryTermRelationStore(TermRelationStore):
     overridden to read the arrays directly — no JSON decode and no dict
     materialization on the query path:
 
-    * ``closeness(a, b)`` binary-searches the sorted ``close_cols`` row;
+    * ``closeness_block(rows, cols)`` searches each sorted ``close_cols``
+      row once for all the columns (``closeness(a, b)`` is its 1×1 case);
     * ``similar_nodes`` slices the rank-ordered similar row and decodes
       only the returned keys;
     * ``_get`` (the cold accessor behind ``__contains__`` / migration)
@@ -400,7 +405,7 @@ class BinaryTermRelationStore(TermRelationStore):
         try:
             if path.stat().st_size == 0:
                 return np.empty(0, dtype=np.uint8)
-            return np.memmap(path, dtype=np.uint8, mode="r")
+            return np.memmap(path, dtype=np.uint8, mode="r").view(np.ndarray)
         except (OSError, ValueError) as exc:
             raise ReproError(f"cannot load term relations from {path}: {exc}")
 
@@ -415,7 +420,10 @@ class BinaryTermRelationStore(TermRelationStore):
                 f"{path}: expected 1-d {np.dtype(dtype).name} block, "
                 f"got {array.ndim}-d {array.dtype.name}"
             )
-        return array
+        # A plain ndarray view of the same mapping: every slice of an
+        # np.memmap runs the subclass's __array_finalize__, which costs
+        # more than the read itself on the per-row lookup paths.
+        return array.view(np.ndarray)
 
     def _check_structure(self) -> None:
         """Boundary consistency checks — touch O(1) values, not blocks."""
@@ -482,10 +490,7 @@ class BinaryTermRelationStore(TermRelationStore):
     def similar_nodes(self, node_id: int, top_n: int) -> List[SimilarNode]:
         """Top-*top_n* similar nodes, sliced from the rank-ordered
         ``similar_*`` CSR row; only the returned keys are decoded."""
-        term = self._term_of_node(node_id)
-        if term is None:
-            return []
-        row = self._key_index(_term_key(term))
+        row = self._node_row(node_id)
         if row is None or not self._stored[row]:
             return []
         lo = int(self._sim_indptr[row])
@@ -504,14 +509,10 @@ class BinaryTermRelationStore(TermRelationStore):
     def similarity(self, node_a: int, node_b: int) -> float:
         """Stored Eq 2 similarity of ``node_b`` in ``node_a``'s list
         (0.0 outside the stored top list), read off the mapped row."""
-        term_a = self._term_of_node(node_a)
-        term_b = self._term_of_node(node_b)
-        if term_a is None or term_b is None:
-            return 0.0
-        row = self._key_index(_term_key(term_a))
+        row = self._node_row(node_a)
         if row is None or not self._stored[row]:
             return 0.0
-        col = self._key_index(_term_key(term_b))
+        col = self._node_row(node_b)
         if col is None:
             return 0.0
         lo = int(self._sim_indptr[row])
@@ -522,30 +523,55 @@ class BinaryTermRelationStore(TermRelationStore):
         return 0.0
 
     def closeness(self, node_a: int, node_b: int) -> float:
-        """Stored Eq 3 closeness, via one ``searchsorted`` over the
-        column-sorted memmapped row — the zero-copy HMM lookup path."""
-        term_a = self._term_of_node(node_a)
-        term_b = self._term_of_node(node_b)
-        if term_a is None or term_b is None:
-            return 0.0
-        row = self._key_index(_term_key(term_a))
-        if row is None or not self._stored[row]:
-            return 0.0
-        col = self._key_index(_term_key(term_b))
-        if col is None:
-            return 0.0
-        lo = int(self._close_indptr[row])
-        hi = int(self._close_indptr[row + 1])
-        if lo == hi:
-            return 0.0
-        # rows are written sorted by column index: binary search, then a
-        # single element compare — no row materialization
-        pos = lo + int(
-            np.searchsorted(self._close_cols[lo:hi], col)
+        """Stored Eq 3 closeness — a 1×1 :meth:`closeness_block`."""
+        return float(self.closeness_block([node_a], [node_b])[0, 0])
+
+    def closeness_block(
+        self, rows: Sequence[int], cols: Sequence[int]
+    ) -> np.ndarray:
+        """Stored Eq 3 closeness of every (row, col) node pair.
+
+        Each node resolves to its key-table index once; then each stored
+        row is read with one ``searchsorted`` of all the column indices
+        over its column-sorted memmapped ``close_cols`` slice, and the
+        hits are gathered with one fancy index — no row
+        materialization, no per-cell lookup.  Pairs outside the stored
+        row read 0.
+        """
+        out = np.zeros((len(rows), len(cols)), dtype=np.float64)
+        if not out.size:
+            return out
+        col_rows = np.array(
+            [-1 if col is None else col for col in map(self._node_row, cols)],
+            dtype=np.int64,
         )
-        if pos < hi and int(self._close_cols[pos]) == col:
-            return float(self._close_scores[pos])
-        return 0.0
+        where = np.flatnonzero(col_rows >= 0)
+        targets = col_rows[where]
+        if not targets.size:
+            return out
+        for i, node in enumerate(rows):
+            row = self._node_row(node)
+            if row is None or not self._stored[row]:
+                continue
+            lo = int(self._close_indptr[row])
+            hi = int(self._close_indptr[row + 1])
+            if lo == hi:
+                continue
+            # rows are written sorted by column index
+            stored_cols = self._close_cols[lo:hi]
+            pos = np.minimum(
+                np.searchsorted(stored_cols, targets), hi - lo - 1
+            )
+            hit = stored_cols[pos] == targets
+            out[i, where[hit]] = self._close_scores[lo:hi][pos[hit]]
+        return out
+
+    def _node_row(self, node_id: int) -> Optional[int]:
+        """Key-table index of a term node, or None (non-term/unknown)."""
+        term = self._term_of_node(node_id)
+        if term is None:
+            return None
+        return self._key_index(_term_key(term))
 
     # ------------------------------------------------------------------ #
     # storage accessor overrides (cold paths: contains/terms/migration)

@@ -80,11 +80,15 @@ def _read_v2_terms(root: Path) -> Dict[str, Dict[str, object]]:
     return terms
 
 
-def read_legacy_store(path: PathLike, graph: TATGraph) -> TermRelationStore:
+def read_legacy_store(
+    path: PathLike, graph: Optional[TATGraph] = None
+) -> TermRelationStore:
     """Read a v1 file or a v2 directory into an in-memory store.
 
     Legacy raw (unescaped) v1 keys are canonicalized to the escaped key
-    form, so term lookups find them.
+    form, so term lookups find them.  The relations are keyed by term,
+    so no graph is needed to read them; *graph*, when given, is bound to
+    the returned store for node-id lookups.
     """
     p = Path(path)
     if p.is_dir() or p.name == "manifest.json":
@@ -112,13 +116,15 @@ def read_legacy_store(path: PathLike, graph: TATGraph) -> TermRelationStore:
 def migrate_to_v3(
     src: PathLike,
     dest: PathLike,
-    graph: TATGraph,
+    graph: Optional[TATGraph] = None,
     build_info: Optional[Dict[str, object]] = None,
 ):
     """Convert a v1 file or v2 shard directory into a v3 binary store.
 
     Returns the opened :class:`repro.storage.binary.BinaryTermRelationStore`
-    (checksums verified, since the artifact was just written).
+    (checksums verified, since the artifact was just written).  The
+    conversion reads no corpus; *graph*, when given, is only bound to the
+    returned store for node-id lookups.
     """
     from repro.storage.binary import BinaryTermRelationStore, write_store_v3
 

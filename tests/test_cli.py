@@ -1,6 +1,8 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import io
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -245,8 +247,7 @@ class TestPrecompute:
         v1 = Path(__file__).parent / "golden" / "relations_v1.json"
         dest = tmp_path / "v3"
         code, text = run([
-            "store", "migrate", "--data", str(toy_dir),
-            "--src", str(v1), "--dest", str(dest),
+            "store", "migrate", "--src", str(v1), "--dest", str(dest),
         ])
         assert code == 0
         assert "migrated" in text and "v3 binary" in text
@@ -264,6 +265,32 @@ class TestPrecompute:
         ], out=io.StringIO())
         assert code == 1
         assert "repro store migrate" in capsys.readouterr().err
+
+    def test_printed_migrate_hint_runs_verbatim(
+        self, toy_dir, tmp_path, capsys
+    ):
+        """The command the legacy-store error names works as printed."""
+        v1 = Path(__file__).parent / "golden" / "relations_v1.json"
+        code = main([
+            "reformulate", "--data", str(toy_dir), "--relations", str(v1),
+            "probabilistic", "query",
+        ], out=io.StringIO())
+        assert code == 1
+        hint = re.search(
+            r"`(repro store migrate [^`]*)`", capsys.readouterr().err
+        )
+        assert hint is not None
+        dest = tmp_path / "migrated"
+        argv = shlex.split(
+            hint.group(1).replace("--dest DIR", f"--dest {dest}")
+        )
+        code, _ = run(argv[1:])
+        assert code == 0
+        code, text = run([
+            "store", "info", "--data", str(toy_dir), "--store", str(dest),
+        ])
+        assert code == 0
+        assert "format version: 3" in text
 
     def test_store_info_missing_is_error(self, toy_dir, tmp_path):
         code = main([

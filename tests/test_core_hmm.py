@@ -17,6 +17,12 @@ class DictCloseness:
     def closeness(self, a, b):
         return self.pairs.get((a, b), self.pairs.get((b, a), 0.0))
 
+    def closeness_block(self, rows, cols):
+        return np.array(
+            [[self.closeness(a, b) for b in cols] for a in rows],
+            dtype=np.float64,
+        ).reshape(len(rows), len(cols))
+
 
 class ConstFrequency:
     def __init__(self, freqs=None):
