@@ -221,11 +221,11 @@ def _run_in(tmp_root, n_papers, delta_frac):
     for keywords in queries:
         got = [
             scored_to_dict(s)
-            for s in layered_live.reformulate(keywords, k=5)
+            for s in layered_live.reformulate_lane(keywords, k=5).suggestions
         ]
         want = [
             scored_to_dict(s)
-            for s in oracle_live.reformulate(keywords, k=5)
+            for s in oracle_live.reformulate_lane(keywords, k=5).suggestions
         ]
         if got != want:
             mismatches += 1

@@ -29,7 +29,7 @@ import time
 
 from repro.eval.lanes import compare_lanes, fallback_coverage
 from repro.experiments import build_context
-from repro.lanes import RouterConfig, build_router
+from repro.lanes import Request, RouterConfig, build_router
 
 
 def _corrupt(queries, keep=1):
@@ -64,9 +64,9 @@ def run(scale="medium", n_queries=60, k=10, n_resamples=2000):
     ab_seconds = time.perf_counter() - start
 
     mismatches = 0
-    for query in queries:
-        routed = router.route(query, k=k, lane="hmm")
-        if list(routed.suggestions) != pipeline.reformulate(query, k=k):
+    routed = router.route([Request(query, k, "hmm") for query in queries])
+    for query, result in zip(queries, routed):
+        if list(result.suggestions) != pipeline.reformulate(query, k=k):
             mismatches += 1
 
     start = time.perf_counter()

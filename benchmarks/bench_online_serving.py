@@ -4,8 +4,9 @@ The serving rework memoizes what consecutive queries share — per-term
 candidate/frequency/similarity blocks and per-pair smoothed closeness
 matrices in the :class:`~repro.serving.plan_cache.PlanCache`, complete
 suggestion lists in the version-aware result LRU — and adds the batched
-``reformulate_many`` API that warms every distinct term once and dedupes
-textually identical queries.
+``reformulate_many`` path (what ``LiveReformulator.route`` sends a batch
+through) that warms every distinct term once and dedupes textually
+identical queries.
 
 Acceptance bars (asserted below):
 
@@ -20,7 +21,9 @@ Acceptance bars (asserted below):
 Both lanes get a warmup pass first so extractor-internal caches (which
 predate this rework and benefit both paths equally) are excluded from
 the comparison: the measured delta is the plan cache, the result LRU and
-batch dedup, not cold-start effects.
+batch dedup, not cold-start effects.  Each lane's QPS time is the best
+of the same ``REPEATS`` passes over the log, so one descheduled pass on a
+shared host cannot decide the ratio.
 
 Script mode (used by the CI smoke job) serves a tiny log with tracing on
 and dumps the observability registry as JSON::
@@ -40,6 +43,7 @@ N_CANDIDATES = 15
 N_DISTINCT = 24
 QUERY_LENGTH = 3
 WORKERS = 4
+REPEATS = 5
 
 
 def _config(plan_cache: bool) -> ReformulatorConfig:
@@ -86,6 +90,16 @@ def _p50(samples):
     return sorted(samples)[len(samples) // 2]
 
 
+def _best_of(repeats, fn):
+    """(fastest wall time, last result) over *repeats* calls of *fn*."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
 def test_online_serving_speedup(benchmark, small_context):
     from repro.live import LiveReformulator
 
@@ -104,14 +118,15 @@ def test_online_serving_speedup(benchmark, small_context):
         cached.reformulate_many(distinct, k=K, workers=1)
 
         # Reference lane: the seed serving loop, one query at a time.
-        start = time.perf_counter()
-        reference = [uncached.reformulate(q, k=K) for q in log]
-        uncached_seconds = time.perf_counter() - start
+        uncached_seconds, reference = _best_of(
+            REPEATS, lambda: [uncached.reformulate(q, k=K) for q in log]
+        )
 
         # Fast lane: batched API over the warm plan cache.
-        start = time.perf_counter()
-        fast = cached.reformulate_many(log, k=K, workers=WORKERS)
-        batched_seconds = time.perf_counter() - start
+        batched_seconds, fast = _best_of(
+            REPEATS,
+            lambda: cached.reformulate_many(log, k=K, workers=WORKERS),
+        )
 
         for ref, got in zip(reference, fast):
             assert _signature(ref) == _signature(got)
@@ -123,16 +138,16 @@ def test_online_serving_speedup(benchmark, small_context):
         live._pipeline = cached          # reuse the built pipeline
         live._dirty = False
         live._version = 1
-        assert _signature(live.reformulate(query, k=K)) == _signature(
-            uncached.reformulate(query, k=K)
-        )
+        assert _signature(
+            live.reformulate_lane(query, k=K).suggestions
+        ) == _signature(uncached.reformulate(query, k=K))
         uncached_lat, warm_lat = [], []
         for _ in range(30):
             start = time.perf_counter()
             uncached.reformulate(query, k=K)
             uncached_lat.append(time.perf_counter() - start)
             start = time.perf_counter()
-            live.reformulate(query, k=K)
+            live.reformulate_lane(query, k=K)
             warm_lat.append(time.perf_counter() - start)
         return uncached_seconds, batched_seconds, uncached_lat, warm_lat
 
@@ -147,8 +162,10 @@ def test_online_serving_speedup(benchmark, small_context):
     p50_speedup = p50_ref / p50_warm
     print("\n" + "=" * 60)
     print(f"Serving log: {len(log)} queries ({len(distinct)} distinct)")
-    print(f"  uncached per-query : {uncached_s:7.2f} s  ({qps_ref:7.1f} QPS)")
-    print(f"  warm batched       : {batched_s:7.2f} s  ({qps_fast:7.1f} QPS)")
+    print(f"  uncached per-query : {uncached_s:7.2f} s  ({qps_ref:7.1f} QPS, "
+          f"best of {REPEATS})")
+    print(f"  warm batched       : {batched_s:7.2f} s  ({qps_fast:7.1f} QPS, "
+          f"best of {REPEATS})")
     print(f"  QPS speedup        : {qps_speedup:7.1f}x")
     print(f"  single-query p50   : {p50_ref * 1e3:.2f} ms uncached, "
           f"{p50_warm * 1e3:.3f} ms warm ({p50_speedup:.0f}x)")
@@ -200,6 +217,7 @@ def run_smoke(metrics_out: str, scale: str = "small") -> int:
     """
     from repro import obs
     from repro.experiments import build_context
+    from repro.lanes import Request
     from repro.live import LiveReformulator
     from repro.obs.export import registry_to_json, render_span_tree
 
@@ -210,9 +228,9 @@ def run_smoke(metrics_out: str, scale: str = "small") -> int:
         log = _serving_log(distinct)
         live = LiveReformulator(context.database, _config(True))
         start = time.perf_counter()
-        batches = live.reformulate_many(log, k=K, workers=2)
-        repeated = live.reformulate(distinct[0], k=K)
-        repeated_again = live.reformulate(distinct[0], k=K)
+        batches = live.route([Request(q, K) for q in log], workers=2)
+        repeated = live.reformulate_lane(distinct[0], k=K).suggestions
+        repeated_again = live.reformulate_lane(distinct[0], k=K).suggestions
         seconds = time.perf_counter() - start
         root = obs.tracer().last_root()
 

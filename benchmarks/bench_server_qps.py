@@ -1,12 +1,12 @@
 """Bench: the HTTP serving daemon vs the in-process batched pipeline.
 
 The daemon (:mod:`repro.server`) adds a network hop, JSON codec, and
-admission control on top of :meth:`LiveReformulator.reformulate_many`.
+admission control on top of :meth:`LiveReformulator.route`.
 This bench quantifies that tax and proves the overload story.
 
 Acceptance bars (asserted below):
 
-* **QPS within 20%** of in-process ``reformulate_many`` at concurrency
+* **QPS within 20%** of an in-process batched ``route`` at concurrency
   8 — 8 closed-loop keep-alive clients vs an 8-worker batch over the
   same distinct query set, both lanes decode-bound (plan cache off,
   result LRUs dropped before timing) so the comparison measures the
@@ -16,7 +16,7 @@ Acceptance bars (asserted below):
   ``Retry-After``), nothing hangs or errors, and the 429s equal
   ``repro_server_shed_total``;
 * **bit-identical suggestions** — every HTTP response equals the
-  direct :meth:`LiveReformulator.reformulate` answer on
+  direct :meth:`LiveReformulator.reformulate_lane` answer on
   ``(text, score, state_path)``; JSON floats round-trip exactly.
 * **pre-fork pool >= 2.5x QPS at 4 workers vs 1** on decode-bound
   traffic (asserted where >= 4 cores exist; reported everywhere).
@@ -38,6 +38,7 @@ import time
 import pytest
 
 from repro.core.reformulator import Reformulator, ReformulatorConfig
+from repro.lanes import Request
 
 K = 10
 N_CANDIDATES = 25
@@ -155,16 +156,18 @@ def test_server_qps_within_20pct_of_inprocess(benchmark, small_context):
             # decodes every query.  Best-of-ROUNDS per lane irons out
             # scheduler noise — the bar compares capability, not one
             # lucky or unlucky scheduling of 16 threads.
-            live.reformulate_many(queries, k=K, workers=CONCURRENCY)
-            server.live.reformulate_many(queries, k=K, workers=CONCURRENCY)
+            requests = [Request(query, K, "hmm") for query in queries]
+            live.route(requests, workers=CONCURRENCY)
+            server.live.route(requests, workers=CONCURRENCY)
             inprocess_times, server_times = [], []
             expected = responses = None
             for _ in range(ROUNDS):
                 live.result_cache.clear()
                 start = time.perf_counter()
-                expected = live.reformulate_many(
-                    queries, k=K, workers=CONCURRENCY
-                )
+                expected = [
+                    result.suggestions
+                    for result in live.route(requests, workers=CONCURRENCY)
+                ]
                 inprocess_times.append(time.perf_counter() - start)
 
                 server.live.result_cache.clear()
@@ -347,12 +350,12 @@ def run_smoke(metrics_out: str, scale: str = "small") -> int:
                 check("readyz", client.readyz().status == 200)
 
                 response = client.reformulate(queries[0], k=K)
-                direct = server.live.reformulate(queries[0], k=K)
+                direct = server.live.reformulate_lane(queries[0], k=K)
                 check("reformulate 200", response.status == 200)
                 check(
                     "bit-identical vs in-process",
                     suggestions_signature(response.json["suggestions"])
-                    == _signature(direct),
+                    == _signature(direct.suggestions),
                 )
 
                 batch = client.reformulate_batch(queries, k=K, workers=2)
@@ -423,7 +426,9 @@ def run_smoke(metrics_out: str, scale: str = "small") -> int:
                     "pool reformulate bit-identical",
                     response.status == 200
                     and suggestions_signature(response.json["suggestions"])
-                    == _signature(live.reformulate(queries[0], k=K)),
+                    == _signature(
+                        live.reformulate_lane(queries[0], k=K).suggestions
+                    ),
                 )
                 deadline = time.monotonic() + 15.0
                 aggregated = ""

@@ -10,7 +10,7 @@ One entry point with subcommands covering the full lifecycle::
     python -m repro.cli search --data corpus/ probabilistic query
     python -m repro.cli precompute --data corpus/ --out store/ --batch-size 128 --workers 2
     python -m repro.cli store migrate --src relations.json --dest store/
-    python -m repro.cli store info --data corpus/ --store store/
+    python -m repro.cli store info --store store/
     python -m repro.cli reformulate --data corpus/ --relations store/ probabilistic query
     python -m repro.cli reformulate --data corpus/ --batch queries.txt --workers 4
     python -m repro.cli explain --data corpus/ probabilistic query
@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     info = store_sub.add_parser(
         "info", help="print a store's format, size and build metadata"
     )
-    add_data(info)
     info.add_argument("--store", required=True, help="store file or directory")
     compact = store_sub.add_parser(
         "compact",
@@ -508,8 +507,9 @@ def _read_batch_file(path: str) -> List[str]:
 def cmd_reformulate(args, out) -> int:
     """``reformulate``: print top-k substitutive queries.
 
-    With ``--batch FILE`` every line of FILE is one query; the whole set
-    is served through ``reformulate_many`` (shared-term plan warmup +
+    With ``--batch FILE`` every line of FILE is one query.  Either way
+    the queries go through one :meth:`LaneRouter.route` call (a batch
+    of two or more takes the lane's shared-plan path: plan warmup +
     optional thread fan-out) and results are printed per query.
     """
     if bool(args.batch) == bool(args.keywords):
@@ -517,7 +517,7 @@ def cmd_reformulate(args, out) -> int:
             "provide either positional keywords or --batch FILE (not both)"
         )
     reformulator = _build_reformulator(args, _load(args))
-    from repro.lanes import build_router
+    from repro.lanes import Request, build_router
 
     router = build_router(reformulator)
 
@@ -537,26 +537,20 @@ def cmd_reformulate(args, out) -> int:
     # `reformulate --data d christian s. jensen spatial` is one name +
     # one word, not four keywords.
     with obs.enabled(args.trace or obs.is_enabled()):
-        if args.batch:
-            parsed_queries = [
-                list(reformulator.parser.parse(line.lower()).keywords)
-                for line in _read_batch_file(args.batch)
-            ]
-            batches = router.route_many(
-                parsed_queries, k=args.k, lane=args.lane,
-                algorithm=args.algorithm, workers=args.workers,
+        lines = (
+            _read_batch_file(args.batch) if args.batch
+            else [" ".join(args.keywords)]
+        )
+        requests = [
+            Request(
+                reformulator.parser.parse(line.lower()).keywords,
+                args.k, args.lane, args.algorithm,
             )
-            for keywords, result in zip(parsed_queries, batches):
-                print(f"input: {' | '.join(keywords)}", file=out)
-                print_result(result)
-        else:
-            raw_query = " ".join(args.keywords).lower()
-            parsed = reformulator.parser.parse(raw_query)
-            print(f"input: {' | '.join(parsed.keywords)}", file=out)
-            result = router.route(
-                list(parsed.keywords), k=args.k, lane=args.lane,
-                algorithm=args.algorithm,
-            )
+            for line in lines
+        ]
+        results = router.route(requests, workers=args.workers)
+        for request, result in zip(requests, results):
+            print(f"input: {' | '.join(request.keywords)}", file=out)
             print_result(result)
         if args.trace:
             _print_trace(out)
@@ -913,10 +907,10 @@ def cmd_store(args, out) -> int:
             len(migrated), args.src, args.dest, migrated.n_keys, total,
         )
         return 0
-    database = _load(args)
     if args.store_command == "compact":
         from repro.offline import DeltaIngestor
 
+        database = _load(args)
         replayed = _replay_layers(database, args.store)
         ingestor = DeltaIngestor(
             database, args.store, batch_size=args.batch_size
@@ -928,8 +922,8 @@ def cmd_store(args, out) -> int:
             "compacted %d delta layer(s) into %s", replayed, args.store
         )
         return 0
-    graph = TATGraph(database, InvertedIndex(database))
-    store = TermRelationStore.load(args.store, graph)
+    # the manifest, block table and layer chain need no graph
+    store = TermRelationStore.load(args.store, None)
     layered = hasattr(store, "layers_info")
     inner = store.base if layered else store
     if layered:

@@ -375,7 +375,8 @@ class Reformulator:
         """Reformulate with a full trace and score decomposition.
 
         *query* may be a raw string (segmented against the corpus
-        vocabulary, like :meth:`reformulate_text`) or a pre-tokenized
+        vocabulary by :attr:`parser`, so multi-word atomic terms such as
+        author names survive as single keywords) or a pre-tokenized
         keyword sequence.  A dedicated tracer records the span tree even
         when the global observability switch is off, so explain mode is
         always available as a paper-reproduction debugging tool.
@@ -510,24 +511,6 @@ class Reformulator:
             sp.set_attribute("kept", len(out))
         return out
 
-    def reformulate_text(
-        self, raw_query: str, k: int = 10, algorithm: str = "astar"
-    ) -> List[ScoredQuery]:
-        """Reformulate a raw query string.
-
-        The string is segmented against the corpus vocabulary first, so
-        multi-word atomic terms (author names, venues) survive as single
-        keywords — "spatio temporal christian s. jensen" parses into
-        ["spatio", "temporal", "christian s. jensen"].
-        """
-        with obs.span("parse") as sp:
-            parsed = self.parser.parse(raw_query)
-            sp.set_attribute("raw", raw_query)
-            sp.set_attribute("keywords", list(parsed.keywords))
-        if not parsed.keywords:
-            raise ReformulationError(f"query {raw_query!r} has no keywords")
-        return self.reformulate(list(parsed.keywords), k=k, algorithm=algorithm)
-
     @property
     def parser(self):
         """Lazily built raw-string query parser."""
@@ -536,13 +519,6 @@ class Reformulator:
 
             self._parser = QueryParser(self.graph)
         return self._parser
-
-    def reformulate_with_timing(
-        self, keywords: Sequence[str], k: int = 10
-    ) -> AStarOutcome:
-        """Algorithm 3 with per-stage timings (Figure 8/9 instrumentation)."""
-        _queries, outcome = decode_topk(self.build_hmm(keywords), k, "astar")
-        return outcome
 
     def best(self, keywords: Sequence[str]) -> ScoredQuery:
         """The single best reformulation: rank 1 of Algorithm 2, i.e.

@@ -31,7 +31,7 @@ from repro.eval.significance import (
     paired_bootstrap,
     per_query_precision,
 )
-from repro.lanes.base import LaneResult
+from repro.lanes.base import LaneResult, Request
 from repro.lanes.router import LaneRouter
 
 
@@ -94,10 +94,9 @@ def replay_lane(
     algorithm: str = "astar",
 ) -> List[LaneResult]:
     """Route every query through one lane, preserving workload order."""
-    return [
-        router.route(list(query), k=k, lane=lane, algorithm=algorithm)
-        for query in queries
-    ]
+    return router.route(
+        [Request(query, k, lane, algorithm) for query in queries]
+    )
 
 
 def judge_arm(
@@ -183,17 +182,15 @@ def fallback_coverage(
     """
     if threshold is None:
         threshold = router.config.cohesion_threshold
-    low = answered = 0
-    queries = [list(query) for query in queries]
-    for query in queries:
-        probe = router.route(query, k=k, lane="hmm")
-        if probe.cohesion is None or probe.cohesion >= threshold:
-            continue
-        low += 1
-        relaxed = router.route(query, k=k, lane="relaxation")
-        answered += bool(relaxed.suggestions)
+    probes = router.route([Request(query, k, "hmm") for query in queries])
+    low = [
+        Request(query, k, "relaxation")
+        for query, probe in zip(queries, probes)
+        if probe.cohesion is not None and probe.cohesion < threshold
+    ]
+    answered = sum(bool(result.suggestions) for result in router.route(low))
     return FallbackCoverage(
-        n_queries=len(queries), n_low_cohesion=low, n_answered=answered
+        n_queries=len(queries), n_low_cohesion=len(low), n_answered=answered
     )
 
 

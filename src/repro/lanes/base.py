@@ -6,7 +6,10 @@ the schema-aware variant — exposed behind a single call::
 
     result = lane.reformulate(keywords, k=5, budget=0.05)
 
-Every lane returns a :class:`LaneResult`: the ranked suggestions plus
+Callers do not reach lanes directly: a query is a :class:`Request` (a
+validated, frozen value) and a batch of them goes through
+:meth:`~repro.lanes.router.LaneRouter.route`; a single query is a batch
+of one.  Every lane returns a :class:`LaneResult`: the ranked suggestions plus
 **per-suggestion provenance** (which lane produced it, whether the query
 was relaxed, which terms were dropped or generalized) and lane-level
 metadata (the cohesion of the best substitution, schema bindings).  The
@@ -25,12 +28,67 @@ import abc
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.reformulator import ALGORITHMS
 from repro.core.scoring import ScoredQuery
 from repro.errors import ReproError
 
 
+class BadRequestError(ReproError):
+    """Malformed request (HTTP 400)."""
+
+
 class UnknownLaneError(ReproError):
     """A request named a lane the router does not serve (HTTP 400)."""
+
+
+@dataclass(frozen=True)
+class Request:
+    """One reformulation request, validated when it is built.
+
+    *keywords* must be non-empty strings (stored as a tuple), *k* an
+    integer >= 1, *algorithm* one of
+    :data:`~repro.core.reformulator.ALGORITHMS`, and *budget* (a lane's
+    wall-clock allowance in seconds) ``None`` or > 0.  *lane* ``None``
+    means the router's default; whether a named lane is served is the
+    router's call (:meth:`~repro.lanes.router.RouterConfig.resolve`).
+    Any violation raises :class:`BadRequestError` before any decode.
+    """
+
+    keywords: Tuple[str, ...]
+    k: int = 10
+    lane: Optional[str] = None
+    algorithm: str = "astar"
+    budget: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        keywords = self.keywords
+        if (
+            not isinstance(keywords, (list, tuple))
+            or not keywords
+            or not all(isinstance(term, str) and term for term in keywords)
+        ):
+            raise BadRequestError(
+                "keywords must be a non-empty list of strings"
+            )
+        object.__setattr__(self, "keywords", tuple(keywords))
+        k = self.k
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise BadRequestError("k must be an integer >= 1")
+        if self.lane is not None and not isinstance(self.lane, str):
+            raise BadRequestError("lane must be a string")
+        algorithm = self.algorithm
+        if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
+            raise BadRequestError(
+                f"unknown algorithm {algorithm!r}, "
+                f"expected one of {ALGORITHMS}"
+            )
+        budget = self.budget
+        if budget is not None and (
+            not isinstance(budget, (int, float))
+            or isinstance(budget, bool)
+            or not budget > 0
+        ):
+            raise BadRequestError("budget must be None or a number > 0")
 
 
 @dataclass(frozen=True)
@@ -44,7 +102,10 @@ class LaneResult:
     path (``None`` when the lane does not measure it); the router
     compares it against the configured threshold to trigger the
     relaxation fallback.  ``requested`` / ``fallback_from`` are stamped
-    by the router.
+    by the router.  ``degraded`` names the fallback that answered a
+    degraded request (``"cached"`` or ``"viterbi_top1"``, see
+    :meth:`~repro.live.LiveReformulator.route`); ``None`` for a full
+    answer.
     """
 
     lane: str
@@ -55,6 +116,7 @@ class LaneResult:
     requested: Optional[str] = None
     fallback_from: Optional[str] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
+    degraded: Optional[str] = None
 
     def __post_init__(self) -> None:
         if len(self.suggestions) != len(self.provenance):
@@ -75,17 +137,13 @@ class LaneResult:
 class Lane(abc.ABC):
     """One reformulation strategy.
 
-    Subclasses set :attr:`name` (the routing key) and
-    :attr:`capabilities` (feature tags: ``substitution``, ``relaxation``,
-    ``schema``, ``batch``, ``cohesion``) and implement
-    :meth:`reformulate`.
+    Subclasses set :attr:`name` (the routing key) and implement
+    :meth:`reformulate`; a lane with a shared-plan batch path also
+    overrides :meth:`reformulate_batch`.
     """
 
     #: Routing key; must be unique within a router.
     name: str = "abstract"
-    #: Feature tags consumers may inspect (e.g. ``"batch"`` marks a lane
-    #: with an optimized :meth:`reformulate_batch`).
-    capabilities: frozenset = frozenset()
 
     @abc.abstractmethod
     def reformulate(
@@ -112,8 +170,9 @@ class Lane(abc.ABC):
     ) -> List[LaneResult]:
         """Batched variant; the default just loops :meth:`reformulate`.
 
-        Lanes tagged ``"batch"`` override this with a shared-plan fast
-        path (the hmm lane delegates to ``reformulate_many``).
+        The router calls it for groups of two or more requests; the hmm
+        lane overrides it with the shared-plan fast path
+        (``Reformulator.reformulate_many``).
         """
         del workers  # the generic loop is sequential
         return [
@@ -162,8 +221,10 @@ def query_cohesion(
 
 
 __all__ = [
+    "BadRequestError",
     "Lane",
     "LaneResult",
+    "Request",
     "UnknownLaneError",
     "query_cohesion",
     "ScoredQuery",

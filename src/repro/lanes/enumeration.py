@@ -23,7 +23,6 @@ class EnumerationLane(Lane):
     """Similarity-product top-k enumeration (no cohesion model)."""
 
     name = "enumeration"
-    capabilities = frozenset({"substitution"})
 
     def __init__(self, pipeline: Reformulator) -> None:
         self.pipeline = pipeline

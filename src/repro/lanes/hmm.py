@@ -24,7 +24,6 @@ class HmmLane(Lane):
     """Substitutive reformulation via the HMM decoder (the default)."""
 
     name = "hmm"
-    capabilities = frozenset({"substitution", "cohesion", "batch"})
 
     def __init__(self, pipeline: Reformulator) -> None:
         self.pipeline = pipeline
@@ -68,10 +67,8 @@ class HmmLane(Lane):
     ) -> LaneResult:
         """Wrap already-decoded suggestions (cohesion measured here).
 
-        Used by both entry points above and by
-        :meth:`LiveReformulator.reformulate_many_lane`'s batched path, so
-        every hmm-lane answer — single, batched, cached — carries the
-        same cohesion measurement.
+        Used by both entry points above, so every hmm-lane answer —
+        single, batched, cached — carries the same cohesion measurement.
         """
         suggestions = tuple(suggestions)
         best = suggestions[0] if suggestions else None

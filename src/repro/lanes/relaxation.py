@@ -56,7 +56,6 @@ class RelaxationLane(Lane):
     """
 
     name = "relaxation"
-    capabilities = frozenset({"substitution", "relaxation", "cohesion"})
 
     def __init__(
         self,

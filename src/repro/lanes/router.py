@@ -1,17 +1,19 @@
 """Lane registration, request routing, and the relaxation fallback chain.
 
 The :class:`LaneRouter` is the single entry point the serving stack uses
-to reach any reformulation strategy::
+to reach any reformulation strategy.  It is batch-first — a single query
+is a batch of one::
 
     router = build_router(pipeline, RouterConfig(fallback_lane="relaxation"))
-    result = router.route(["probabilistic", "xml"], k=5, lane="hmm")
+    request = Request(["probabilistic", "xml"], k=5, lane="hmm")
+    [result] = router.route([request])
 
 It owns three responsibilities:
 
 * **validation** — an unknown lane name raises
   :class:`~repro.lanes.base.UnknownLaneError`, which the HTTP layer maps
-  to a 400 (the router is the only place lane names are resolved, so the
-  check happens exactly once per request);
+  to a 400 (:meth:`RouterConfig.resolve` is the only place lane names
+  are resolved);
 * **fallback chaining** — when the routed lane reports a best-path
   cohesion below ``cohesion_threshold`` and a ``fallback_lane`` is
   configured, the router re-runs the query through the fallback and
@@ -37,7 +39,7 @@ from repro import obs
 from repro.core.reformulator import Reformulator
 from repro.errors import ReproError
 from repro.index.inverted import FieldRef
-from repro.lanes.base import Lane, LaneResult, UnknownLaneError
+from repro.lanes.base import Lane, LaneResult, Request, UnknownLaneError
 from repro.lanes.enumeration import EnumerationLane
 from repro.lanes.hmm import HmmLane
 from repro.lanes.relaxation import RelaxationLane
@@ -102,10 +104,8 @@ class RouterConfig:
     def resolve(self, name: Optional[str]) -> str:
         """Validated lane name for a request (``None`` → default).
 
-        Config-only — callers that must reject a bad lane name *before*
-        paying for a pipeline build (the HTTP layer, the live wrapper)
-        validate here; the router's own :meth:`LaneRouter.resolve` adds
-        the registered-instance check.
+        Config-only, so the live wrapper rejects a bad lane name
+        *before* paying for a pipeline build.
         """
         if name is None:
             return self.default_lane
@@ -140,7 +140,7 @@ class LaneRouter:
         self._lanes: Dict[str, Lane] = {}
 
     # ------------------------------------------------------------------ #
-    # registration / resolution
+    # registration
     # ------------------------------------------------------------------ #
 
     def register(self, lane: Lane) -> None:
@@ -163,67 +163,57 @@ class LaneRouter:
                 f"unknown lane {name!r}, expected one of {sorted(self._lanes)}"
             ) from None
 
-    def resolve(self, name: Optional[str]) -> str:
-        """Validated lane name for a request (``None`` → default)."""
-        if name is None:
-            name = self.config.default_lane
-        self.lane(name)  # raises on unknown
-        return name
-
-    def cache_tag(self, requested: str) -> str:
-        """See :meth:`RouterConfig.cache_tag` (pure config)."""
-        return self.config.cache_tag(requested)
-
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
 
     def route(
-        self,
-        query: Sequence[str],
-        k: int = 10,
-        lane: Optional[str] = None,
-        budget: Optional[float] = None,
-        algorithm: str = "astar",
-    ) -> LaneResult:
-        """Run one query through the requested (or default) lane.
-
-        Applies the fallback chain and stamps routing provenance
-        (``requested`` / ``fallback_from``) onto the result.
-        """
-        requested = self.resolve(lane)
-        result = self._timed(requested, query, k, budget, algorithm)
-        result = self._maybe_fallback(requested, result, query, k, budget, algorithm)
-        self._observe(result)
-        return result
-
-    def route_many(
-        self,
-        queries: Sequence[Sequence[str]],
-        k: int = 10,
-        lane: Optional[str] = None,
-        budget: Optional[float] = None,
-        algorithm: str = "astar",
-        workers: int = 1,
+        self, requests: Sequence[Request], workers: int = 1
     ) -> List[LaneResult]:
-        """Batched :meth:`route`: one lane resolution, per-entry fallback."""
-        requested = self.resolve(lane)
-        target = self.lane(requested)
-        start = time.monotonic()
-        results = target.reformulate_batch(
-            queries, k=k, budget=budget, algorithm=algorithm, workers=workers
-        )
-        self._record(requested, time.monotonic() - start, count=len(queries))
-        out = []
-        for query, result in zip(queries, results):
-            result = self._maybe_fallback(
-                requested, result, query, k, budget, algorithm
-            )
-            self._observe(result, annotate=False)
-            out.append(result)
-        if out:
-            obs.annotate_trace("lane", out[0].lane)
-        return out
+        """Run a batch of requests through their lanes, results aligned.
+
+        Requests sharing ``(lane, k, algorithm, budget)`` form a group.
+        A group of one goes through :meth:`Lane.reformulate`, a larger
+        one through :meth:`Lane.reformulate_batch` (with *workers*), so
+        a single query costs no batch machinery.  Each entry then takes
+        the fallback chain on its own, and routing provenance
+        (``requested`` / ``fallback_from``) is stamped on every result.
+        """
+        groups: Dict[tuple, List[int]] = {}
+        for i, request in enumerate(requests):
+            name = self.config.resolve(request.lane)
+            key = (name, request.k, request.algorithm, request.budget)
+            groups.setdefault(key, []).append(i)
+        results: List[Optional[LaneResult]] = [None] * len(requests)
+        for (name, k, algorithm, budget), members in groups.items():
+            queries = [list(requests[i].keywords) for i in members]
+            target = self.lane(name)
+            start = time.monotonic()
+            if len(members) == 1:
+                solved = [target.reformulate(
+                    queries[0], k=k, budget=budget, algorithm=algorithm
+                )]
+            else:
+                solved = target.reformulate_batch(
+                    queries, k=k, budget=budget, algorithm=algorithm,
+                    workers=workers,
+                )
+            self._record(name, time.monotonic() - start, len(members))
+            for i, query, result in zip(members, queries, solved):
+                result = self._maybe_fallback(
+                    name, result, query, k, budget, algorithm
+                )
+                if result.relaxed and obs.is_enabled():
+                    obs.registry().counter(
+                        "repro_lane_relaxed_total",
+                        "Responses containing relaxed suggestions, "
+                        "by serving lane",
+                        lane=result.lane,
+                    ).inc()
+                results[i] = result
+        if results:
+            obs.annotate_trace("lane", results[0].lane)
+        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
     # internals
@@ -285,16 +275,6 @@ class LaneRouter:
             buckets=_LANE_SECONDS_BUCKETS,
             lane=name,
         ).observe(elapsed)
-
-    def _observe(self, result: LaneResult, annotate: bool = True) -> None:
-        if result.relaxed and obs.is_enabled():
-            obs.registry().counter(
-                "repro_lane_relaxed_total",
-                "Responses containing relaxed suggestions, by serving lane",
-                lane=result.lane,
-            ).inc()
-        if annotate:
-            obs.annotate_trace("lane", result.lane)
 
 
 def build_router(

@@ -42,7 +42,6 @@ class SchemaLane(Lane):
     """Field-constrained reformulation driven by schema keywords."""
 
     name = "schema"
-    capabilities = frozenset({"substitution", "schema", "cohesion"})
 
     def __init__(
         self,

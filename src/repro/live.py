@@ -22,18 +22,23 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.core.reformulator import Reformulator, ReformulatorConfig
-from repro.core.scoring import ScoredQuery
 from repro.errors import ReproError
 from repro.index.analyzer import Analyzer
-from repro.lanes.base import LaneResult
+from repro.lanes.base import LaneResult, Request
 from repro.lanes.router import LaneRouter, RouterConfig, build_router
 from repro.serving.result_cache import ResultCache
 from repro.storage.database import Database, TupleRef
 from repro.storage.table import Row
+
+#: ``LaneResult.degraded`` values of a degraded answer: the resident
+#: full answer, or the single best hmm path.
+DEGRADE_CACHED = "cached"
+DEGRADE_VITERBI = "viterbi_top1"
 
 
 class LiveReformulator:
@@ -49,16 +54,17 @@ class LiveReformulator:
     analyzer:
         Analyzer for the rebuilt index.
     relations:
-        Optional path to a precomputed term-relation store (v1 file or
-        v2 shard directory).  When set, every rebuilt pipeline serves
-        similarity/closeness from the store instead of live extractors;
+        Optional path to a precomputed term-relation store (a v3
+        directory, possibly with delta layers).  When set, every rebuilt
+        pipeline serves similarity/closeness from the store instead of
+        live extractors;
         terms inserted after the store was built simply have no stored
         relations until the offline stage is rerun.
     router_config:
         Lane routing configuration (enabled lanes, default, fallback
         chain).  The default serves every lane with ``hmm`` as default
-        and no fallback, which keeps :meth:`reformulate` bit-identical
-        to the bare pipeline.  Replaceable per worker via
+        and no fallback, which keeps the hmm lane bit-identical to the
+        bare pipeline.  Replaceable per worker via
         :meth:`configure_router` (the server does this post-fork).
     """
 
@@ -355,20 +361,6 @@ class LiveReformulator:
         """Queries that arrived while stale and so bypassed the result LRU."""
         return self._cache_bypasses
 
-    def reformulate(
-        self, keywords: Sequence[str], k: int = 10, algorithm: str = "astar"
-    ) -> List[ScoredQuery]:
-        """Top-k suggestions over the (possibly rebuilt) pipeline.
-
-        Thin wrapper over :meth:`reformulate_lane` pinned to the ``hmm``
-        lane: with the default router config (no fallback chain) the
-        suggestions are bit-identical to calling the pipeline directly.
-        """
-        result = self.reformulate_lane(
-            keywords, k=k, lane="hmm", algorithm=algorithm
-        )
-        return list(result.suggestions)
-
     def reformulate_lane(
         self,
         keywords: Sequence[str],
@@ -377,133 +369,106 @@ class LiveReformulator:
         algorithm: str = "astar",
         budget: Optional[float] = None,
     ) -> LaneResult:
-        """Top-k suggestions through one lane of the router.
+        """One query through :meth:`route` (a batch of one)."""
+        return self.route([Request(keywords, k, lane, algorithm, budget)])[0]
 
-        Served from the version-aware result LRU when an identical
-        ``(keywords, k, algorithm, lane)`` request already ran against
-        the current pipeline — the lane component is the router's cache
-        tag, so a lane under an active fallback chain never shares
-        entries with the same lane running chain-free.  A query arriving
-        while :attr:`is_stale` cannot hit — the resident entries predate
-        the pending mutations — so it bypasses the lookup (counted in
+    def route(
+        self,
+        requests: Sequence[Request],
+        workers: int = 1,
+        degrade: bool = False,
+    ) -> List[LaneResult]:
+        """Answer a batch of requests through the router, results aligned.
+
+        The only reader and writer of the result LRU.  Each request is
+        keyed on ``(keywords, k, algorithm, lane tag)`` — the tag is
+        :meth:`RouterConfig.cache_tag`, so a lane under an active
+        fallback chain never shares entries with the same lane running
+        chain-free.  Resident entries at the current pipeline version are
+        served from memory; the misses go through one
+        :meth:`LaneRouter.route` call (with *workers*) and are cached,
+        except answers decoded under a ``budget`` — a wall-clock
+        allowance makes the relaxation lane's output timing-dependent.
+        A batch arriving while :attr:`is_stale` cannot hit — the
+        resident entries predate the pending mutations — so it bypasses
+        the lookup (counted per request in
         ``repro_live_result_cache_bypass_total``), triggers the rebuild,
         and repopulates the cache at the new version.
+
+        With ``degrade=True`` (the server's deadline fallback) a hit is
+        served as is, marked ``degraded="cached"``, and a miss gets the
+        single best hmm path (``Reformulator.best``, labelled ``hmm``,
+        ``degraded="viterbi_top1"``), which is not cached.
+
+        Every lane name is resolved before any pipeline build, so an
+        unknown lane raises :class:`~repro.lanes.base.UnknownLaneError`
+        first.
         """
-        requested = self._router_config.resolve(lane)  # 400s before any build
+        requests = list(requests)
+        config = self._router_config
+        lanes = [config.resolve(request.lane) for request in requests]
+        keys = [
+            ResultCache.key(
+                request.keywords, request.k, request.algorithm,
+                lane=config.cache_tag(lane),
+            )
+            for request, lane in zip(requests, lanes)
+        ]
         if obs.is_enabled():
             obs.registry().gauge(
                 "repro_live_staleness_at_query",
                 "Mutations pending against the pipeline when a query arrived",
             ).set(self._mutations_since_build)
         stale = self.is_stale
-        if stale:
-            self._cache_bypasses += 1
+        if stale and requests:
+            self._cache_bypasses += len(requests)
             obs.annotate_trace("result_cache", "bypass")
             obs.counter(
                 "repro_live_result_cache_bypass_total",
                 "Queries that bypassed the result cache due to staleness",
-            ).inc()
-        key = ResultCache.key(
-            keywords, k, algorithm, lane=self._router_config.cache_tag(requested)
-        )
-        router = self.router()  # may rebuild and bump the version
-        if self.result_cache is not None and not stale:
-            cached = self.result_cache.get_result(key, self._version)
-            if cached is not None:
-                obs.annotate_trace("result_cache", "hit")
-                obs.annotate_trace("lane", cached.lane)
-                return cached
-            obs.annotate_trace("result_cache", "miss")
-        result = router.route(
-            keywords, k=k, lane=requested, budget=budget, algorithm=algorithm
-        )
-        if self.result_cache is not None:
-            self.result_cache.put_result(key, self._version, result)
-        return result
-
-    def reformulate_many(
-        self,
-        queries: Sequence[Sequence[str]],
-        k: int = 10,
-        algorithm: str = "astar",
-        workers: int = 1,
-    ) -> List[List[ScoredQuery]]:
-        """Batched suggestions, pinned to the ``hmm`` lane (see
-        :meth:`reformulate`)."""
-        results = self.reformulate_many_lane(
-            queries, k=k, lane="hmm", algorithm=algorithm, workers=workers
-        )
-        return [list(result.suggestions) for result in results]
-
-    def reformulate_many_lane(
-        self,
-        queries: Sequence[Sequence[str]],
-        k: int = 10,
-        lane: Optional[str] = None,
-        algorithm: str = "astar",
-        budget: Optional[float] = None,
-        workers: int = 1,
-    ) -> List[LaneResult]:
-        """Batched :meth:`reformulate_lane` over one lane.
-
-        Each batch entry goes through the same version-aware result LRU:
-        resident entries are served from memory, only the misses reach
-        the lane's batched path, and every decoded answer is cached for
-        both future batches and single queries.  Staleness is handled
-        like the single-query path — a batch arriving while
-        :attr:`is_stale` bypasses the lookup entirely, counted once per
-        entry in ``repro_live_result_cache_bypass_total``.
-        """
-        requested = self._router_config.resolve(lane)
-        queries = [list(query) for query in queries]
-        stale = self.is_stale
-        if stale and queries:
-            self._cache_bypasses += len(queries)
-            obs.counter(
-                "repro_live_result_cache_bypass_total",
-                "Queries that bypassed the result cache due to staleness",
-            ).inc(len(queries))
-        router = self.router()  # may rebuild and bump the version
-        if self.result_cache is None:
-            return router.route_many(
-                queries, k=k, lane=requested, budget=budget,
-                algorithm=algorithm, workers=workers,
-            )
-        version = self._version
-        tag = self._router_config.cache_tag(requested)
-        keys = [
-            ResultCache.key(query, k, algorithm, lane=tag) for query in queries
-        ]
-        results: List[Optional[LaneResult]] = [None] * len(queries)
+            ).inc(len(requests))
+        with self._rebuild_lock:
+            router = self.router()  # may rebuild and bump the version
+            pipeline, version = self._pipeline, self._version
+        cache = None if stale else self.result_cache
+        results: List[Optional[LaneResult]] = [None] * len(requests)
         misses: List[int] = []
         for i, key in enumerate(keys):
-            cached = (
-                None if stale else self.result_cache.get_result(key, version)
-            )
+            cached = None if cache is None else cache.get(key, version)
             if cached is None:
                 misses.append(i)
             else:
-                results[i] = cached
-        obs.annotate_trace(
-            "result_cache",
-            "bypass" if stale else f"{len(queries) - len(misses)}"
-            f"/{len(queries)} hits",
-        )
-        if misses:
-            solved = router.route_many(
-                [queries[i] for i in misses],
-                k=k, lane=requested, budget=budget,
-                algorithm=algorithm, workers=workers,
+                results[i] = (
+                    replace(cached, degraded=DEGRADE_CACHED) if degrade
+                    else cached
+                )
+        if cache is not None:
+            hits = len(requests) - len(misses)
+            obs.annotate_trace(
+                "result_cache",
+                ("hit" if hits else "miss") if len(requests) == 1
+                else f"{hits}/{len(requests)} hits",
             )
+        if degrade:
+            for i in misses:
+                results[i] = LaneResult(
+                    lane="hmm",
+                    suggestions=(pipeline.best(requests[i].keywords),),
+                    provenance=({"lane": "hmm", "relaxed": False},),
+                    requested=lanes[i],
+                    degraded=DEGRADE_VITERBI,
+                )
+        elif misses:
+            solved = router.route([requests[i] for i in misses], workers)
+            store = self.result_cache
             for i, result in zip(misses, solved):
-                self.result_cache.put_result(keys[i], version, result)
                 results[i] = result
-        return list(results)
+                if store is not None and requests[i].budget is None:
+                    store.put(keys[i], version, result)
+        if results:
+            obs.annotate_trace("lane", results[0].lane)
+        return results  # type: ignore[return-value]
 
     def similar_terms(self, text: str, top_n: int = 10):
         """Similar terms over the (possibly rebuilt) pipeline."""
         return self.pipeline().similarity.similar_terms(text, top_n)
-
-    def best(self, keywords: Sequence[str]) -> ScoredQuery:
-        """Single best suggestion (plain Viterbi)."""
-        return self.pipeline().best(keywords)

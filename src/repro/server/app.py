@@ -10,9 +10,10 @@ Request lifecycle for the query routes (``/reformulate``,
   requests execute, ``queue_depth`` wait, the rest are shed with
   ``429`` + ``Retry-After``.
 * **Deadlines** (:mod:`repro.server.deadline`): queue wait and decode
-  share one budget; on deadline pressure the handler falls back from
-  the full A* top-k to the result-cache entry (if the identical request
-  is resident) or a single-best Viterbi decode, and marks the response
+  share one budget; on deadline pressure the handler asks
+  :meth:`~repro.live.LiveReformulator.route` for a degraded answer —
+  the result-cache entry (if the identical request is resident) or a
+  single-best Viterbi decode — and marks the response
   ``"degraded": true`` — a cheap answer beats a blown deadline.
 * **Drain**: SIGTERM (via :meth:`ReformulationServer.install_signal_handlers`)
   or :meth:`ReformulationServer.shutdown` stops accepting connections,
@@ -49,14 +50,14 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
 from repro.core.scoring import ScoredQuery
 from repro.errors import ReproError
-from repro.lanes.base import LaneResult
-from repro.live import LiveReformulator
+from repro.lanes.base import BadRequestError, LaneResult, Request
+from repro.live import DEGRADE_CACHED, DEGRADE_VITERBI, LiveReformulator
 from repro.obs.flight import FlightRecorder, merge_trace_snapshots
 from repro.obs.trace import (
     Span,
@@ -66,17 +67,12 @@ from repro.obs.trace import (
     sanitize_trace_id,
     set_current_trace,
 )
-from repro.serving.result_cache import ResultCache
 from repro.server.accesslog import open_access_log
 from repro.server.admission import AdmissionController, OverloadedError
 from repro.server.config import ServerConfig
 from repro.server.deadline import Deadline, LatencyEstimator, should_degrade
 
 logger = logging.getLogger("repro.server")
-
-#: Degradation fallbacks, in preference order.
-DEGRADE_CACHED = "cached"
-DEGRADE_VITERBI = "viterbi_top1"
 
 _JSON = "application/json"
 _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
@@ -121,20 +117,6 @@ def scored_to_dict(query: ScoredQuery) -> Dict[str, Any]:
         "terms": list(query.terms),
         "state_path": list(query.state_path),
     }
-
-
-class BadRequestError(ReproError):
-    """Malformed request payload (HTTP 400)."""
-
-
-def _require_keywords(value: Any, what: str = "keywords") -> List[str]:
-    if (
-        not isinstance(value, (list, tuple))
-        or not value
-        or not all(isinstance(term, str) and term for term in value)
-    ):
-        raise BadRequestError(f"{what} must be a non-empty list of strings")
-    return [term for term in value]
 
 
 def _int_field(payload: Dict[str, Any], name: str, default: int,
@@ -341,10 +323,10 @@ class ReformulationServer:
             )
         )
 
-    def _parse_query_terms(self, payload: Dict[str, Any]) -> List[str]:
+    def _parse_query_terms(self, payload: Dict[str, Any]) -> Any:
         """Keywords from ``keywords`` (pre-tokenized) or ``query`` (raw)."""
         if "keywords" in payload:
-            return _require_keywords(payload["keywords"])
+            return payload["keywords"]
         raw = payload.get("query")
         if not isinstance(raw, str) or not raw.strip():
             raise BadRequestError(
@@ -356,52 +338,31 @@ class ReformulationServer:
             raise BadRequestError(f"query {raw!r} has no keywords")
         return keywords
 
-    def _parse_lane(self, payload: Dict[str, Any]) -> str:
-        """Validated lane name from the request (missing → default).
+    def _answer(
+        self,
+        requests: List[Request],
+        deadline: Deadline,
+        workers: int,
+        route: str,
+    ) -> Tuple[List[LaneResult], Optional[str]]:
+        """Answer *requests* in one :meth:`LiveReformulator.route` call.
 
-        Resolution is config-only, so an unknown lane 400s before any
-        pipeline build; :class:`~repro.lanes.base.UnknownLaneError` is a
-        :class:`ReproError`, which the dispatch layer maps to 400.
+        Degrades when the deadline cannot fit the expected latency; the
+        reported mode is the weaker fallback any entry took.  Only full
+        answers feed the per-query latency estimate.
         """
-        lane = payload.get("lane")
-        if lane is not None and not isinstance(lane, str):
-            raise BadRequestError("lane must be a string")
-        return self.live.router_config.resolve(lane)
-
-    def _degraded_single(
-        self, keywords: Sequence[str], k: int, algorithm: str, lane: str
-    ) -> Tuple[LaneResult, str]:
-        """Fallback plan for one query: cached full answer, else top-1.
-
-        The result cache is only consulted when the pipeline is fresh —
-        a stale hit would resurrect pre-mutation suggestions that the
-        normal path deliberately bypasses.  Lookups use the requested
-        lane's cache tag, so a degraded answer can only come from the
-        same lane (and fallback-chain setting) the request asked for.
-        """
-        cache = self.live.result_cache
-        if cache is not None and not self.live.is_stale:
-            cached = cache.get_result(
-                ResultCache.key(
-                    keywords, k, algorithm,
-                    lane=self.live.router_config.cache_tag(lane),
-                ),
-                self.live.version,
-            )
-            if cached is not None:
-                return cached, DEGRADE_CACHED
-        # Cheapest well-formed answer: the plain Viterbi top-1 — an hmm
-        # decode whichever lane was requested, and labeled as such.
-        best = self.live.best(keywords)
-        result = LaneResult(
-            lane="hmm",
-            suggestions=(best,),
-            provenance=({"lane": "hmm", "relaxed": False},),
-            requested=lane,
+        degrade = should_degrade(
+            deadline, self.latency, self.config.degrade_safety
         )
-        return result, DEGRADE_VITERBI
-
-    def _count_degraded(self, mode: str, route: str) -> None:
+        start = time.perf_counter()
+        results = self.live.route(requests, workers=workers, degrade=degrade)
+        if not degrade:
+            self.latency.observe(
+                (time.perf_counter() - start) / len(requests)
+            )
+            return results, None
+        modes = {result.degraded for result in results}
+        mode = DEGRADE_VITERBI if DEGRADE_VITERBI in modes else DEGRADE_CACHED
         self._degraded_served += 1
         obs.annotate_trace("degraded_mode", mode)
         obs.counter(
@@ -409,6 +370,7 @@ class ReformulationServer:
             "Requests answered via a degradation fallback",
         ).inc()
         logger.debug("degraded %s via %s", route, mode)
+        return results, mode
 
     @staticmethod
     def _suggestion_dicts(result: LaneResult) -> List[Dict[str, Any]]:
@@ -430,41 +392,27 @@ class ReformulationServer:
         self, payload: Dict[str, Any], deadline: Deadline
     ) -> Dict[str, Any]:
         """``POST /reformulate`` body -> response dict."""
-        lane = self._parse_lane(payload)
-        keywords = self._parse_query_terms(payload)
-        k = _int_field(payload, "k", self.config.default_k)
-        algorithm = payload.get("algorithm", "astar")
-        if not isinstance(algorithm, str):
-            raise BadRequestError("algorithm must be a string")
-        obs.annotate_trace("algorithm", algorithm)
+        request = Request(
+            self._parse_query_terms(payload),
+            payload.get("k", self.config.default_k),
+            payload.get("lane"),
+            payload.get("algorithm", "astar"),
+        )
+        keywords = list(request.keywords)
+        obs.annotate_trace("algorithm", request.algorithm)
         obs.annotate_trace("keywords", keywords)
-        degraded_mode: Optional[str] = None
-        if should_degrade(deadline, self.latency, self.config.degrade_safety):
-            result, degraded_mode = self._degraded_single(
-                keywords, k, algorithm, lane
-            )
-            obs.annotate_trace("lane", result.lane)
-            self._count_degraded(degraded_mode, "/reformulate")
-        else:
-            start = time.perf_counter()
-            # The request deadline is handled by degradation above, not
-            # by the lane budget: budgets change relaxation output, and
-            # the result cache does not key on them.
-            result = self.live.reformulate_lane(
-                keywords, k=k, lane=lane, algorithm=algorithm,
-            )
-            self.latency.observe(time.perf_counter() - start)
+        (result,), mode = self._answer([request], deadline, 1, "/reformulate")
         return {
             "keywords": keywords,
-            "k": k,
-            "algorithm": algorithm,
+            "k": request.k,
+            "algorithm": request.algorithm,
             "lane": result.lane,
-            "lane_requested": lane,
+            "lane_requested": result.requested,
             "relaxed": result.relaxed,
             "fallback_from": result.fallback_from,
             "suggestions": self._suggestion_dicts(result),
-            "degraded": degraded_mode is not None,
-            "degraded_mode": degraded_mode,
+            "degraded": mode is not None,
+            "degraded_mode": mode,
             "version": self.live.version,
         }
 
@@ -475,62 +423,39 @@ class ReformulationServer:
         queries = payload.get("queries")
         if not isinstance(queries, (list, tuple)) or not queries:
             raise BadRequestError("queries must be a non-empty list")
-        parsed = [
-            _require_keywords(query, what=f"queries[{i}]")
-            for i, query in enumerate(queries)
-        ]
-        k = _int_field(payload, "k", self.config.default_k)
+        k = payload.get("k", self.config.default_k)
+        lane = payload.get("lane")
         algorithm = payload.get("algorithm", "astar")
-        if not isinstance(algorithm, str):
-            raise BadRequestError("algorithm must be a string")
+        requests = []
+        for i, query in enumerate(queries):
+            try:
+                requests.append(Request(query, k, lane, algorithm))
+            except BadRequestError as exc:
+                raise BadRequestError(f"queries[{i}]: {exc}") from None
         workers = min(
             _int_field(payload, "workers", 1), self.config.max_batch_workers
         )
-        lane = self._parse_lane(payload)
         obs.annotate_trace("algorithm", algorithm)
-        obs.annotate_trace("keywords", [f"<batch of {len(parsed)}>"])
-        degraded_mode: Optional[str] = None
-        if should_degrade(deadline, self.latency, self.config.degrade_safety):
-            # Cheapest well-formed answer per entry; one fallback flag
-            # covers the batch (modes may mix, report the weaker one).
-            modes = set()
-            results = []
-            for keywords in parsed:
-                result, mode = self._degraded_single(
-                    keywords, k, algorithm, lane
-                )
-                modes.add(mode)
-                results.append(result)
-            degraded_mode = (
-                DEGRADE_VITERBI if DEGRADE_VITERBI in modes else DEGRADE_CACHED
-            )
-            if results:
-                obs.annotate_trace("lane", results[0].lane)
-            self._count_degraded(degraded_mode, "/reformulate/batch")
-        else:
-            start = time.perf_counter()
-            results = self.live.reformulate_many_lane(
-                parsed, k=k, lane=lane, algorithm=algorithm, workers=workers
-            )
-            elapsed = time.perf_counter() - start
-            # Per-query latency is what the degrade decision needs.
-            self.latency.observe(elapsed / max(1, len(parsed)))
+        obs.annotate_trace("keywords", [f"<batch of {len(requests)}>"])
+        results, mode = self._answer(
+            requests, deadline, workers, "/reformulate/batch"
+        )
         return {
             "k": k,
             "algorithm": algorithm,
-            "lane_requested": lane,
-            "degraded": degraded_mode is not None,
-            "degraded_mode": degraded_mode,
+            "lane_requested": results[0].requested,
+            "degraded": mode is not None,
+            "degraded_mode": mode,
             "version": self.live.version,
             "results": [
                 {
-                    "keywords": keywords,
+                    "keywords": list(request.keywords),
                     "lane": result.lane,
                     "relaxed": result.relaxed,
                     "fallback_from": result.fallback_from,
                     "suggestions": self._suggestion_dicts(result),
                 }
-                for keywords, result in zip(parsed, results)
+                for request, result in zip(requests, results)
             ],
         }
 

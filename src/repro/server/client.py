@@ -260,8 +260,8 @@ def suggestions_signature(
     """Comparison key matching in-process ``(text, score, state_path)``.
 
     JSON round-trips floats exactly (``repr`` in, ``float`` out), so
-    equality against direct :meth:`LiveReformulator.reformulate` output
-    is bit-identical, not approximate.
+    equality against direct :meth:`LiveReformulator.reformulate_lane`
+    output is bit-identical, not approximate.
     """
     return [
         (s["text"], s["score"], tuple(s["state_path"])) for s in suggestions

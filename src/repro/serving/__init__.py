@@ -9,10 +9,12 @@ per-term artifacts queries recombine:
 * :class:`PlanCache` — per-term candidate/frequency/similarity blocks
   and per-term-pair closeness sub-matrices, assembled into bit-identical
   HMMs through :meth:`~repro.core.hmm.ReformulationHMM.assemble`;
-* :class:`ResultCache` — complete suggestion lists keyed on
-  ``(keywords, k, algorithm)`` with version-aware invalidation, owned by
-  :class:`~repro.live.LiveReformulator`;
-* the batched API (``Reformulator.reformulate_many`` /
+* :class:`ResultCache` — complete lane answers keyed on
+  ``(keywords, k, algorithm, lane tag)`` with version-aware
+  invalidation, read and written only by
+  :meth:`~repro.live.LiveReformulator.route`;
+* the batched path (``Reformulator.reformulate_many``, which the hmm
+  lane runs for any batch of two or more requests — ``/reformulate/batch``,
   ``repro reformulate --batch``) warms the plan cache once per distinct
   term and fans decode across a thread pool.
 

@@ -1,9 +1,11 @@
 """Query-level result LRU with version-aware invalidation.
 
-Caches complete ``reformulate`` outputs keyed on
-``(keywords, k, algorithm, lane)`` together with the pipeline **version**
-the result was computed against.  :class:`~repro.live.LiveReformulator`
-owns one of these: its ``version`` counter increments on every rebuild,
+Caches complete lane answers (:class:`~repro.lanes.base.LaneResult`)
+keyed on ``(keywords, k, algorithm, lane)`` together with the pipeline
+**version** the result was computed against.
+:class:`~repro.live.LiveReformulator` owns one of these, and its
+``route`` is the only reader and writer: its ``version`` counter
+increments on every rebuild,
 so entries computed against an older pipeline are unreachable and get
 evicted — stale suggestions are never served after an insert.
 
@@ -16,8 +18,7 @@ Eviction has two causes, reported separately through the gated
   bulk by :meth:`ResultCache.evict_stale` after a rebuild, or dropped
   lazily when a lookup lands on an outdated entry).
 
-Stored results are tuples of frozen :class:`ScoredQuery` values; lookups
-return a fresh list, so callers may mutate what they get back.
+Stored results are frozen dataclasses, returned as-is.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, Sequence, Tuple
 
 from repro import obs
-from repro.core.scoring import ScoredQuery
 from repro.errors import ReformulationError
 
 
@@ -49,14 +49,12 @@ class ResultCacheStats:
 
 
 class ResultCache:
-    """LRU of complete suggestion lists, invalidated by pipeline version."""
+    """LRU of complete lane answers, invalidated by pipeline version."""
 
     def __init__(self, max_entries: int = 1024) -> None:
         if max_entries < 1:
             raise ReformulationError("result cache needs max_entries >= 1")
         self.max_entries = max_entries
-        # value is either a Tuple[ScoredQuery, ...] (get/put) or a frozen
-        # LaneResult (get_result/put_result); the version tag is shared.
         self._entries: "OrderedDict[Hashable, Tuple[int, object]]" = (
             OrderedDict()
         )
@@ -72,8 +70,8 @@ class ResultCache:
     ) -> Hashable:
         """Canonical cache key of one request.
 
-        *lane* is the router's :meth:`~repro.lanes.router.LaneRouter.cache_tag`
-        — the requested lane plus, when a fallback chain applies to it,
+        *lane* is :meth:`~repro.lanes.router.RouterConfig.cache_tag` —
+        the requested lane plus, when a fallback chain applies to it,
         the chain and its threshold.  Different lanes (or the same lane
         with and without an active fallback chain) can return different
         suggestions for identical keywords, so the tag is part of the
@@ -86,37 +84,12 @@ class ResultCache:
     # lookup / insert
     # ------------------------------------------------------------------ #
 
-    def get(self, key: Hashable, version: int) -> Optional[List[ScoredQuery]]:
-        """The cached suggestion list, or None on miss.
+    def get(self, key: Hashable, version: int):
+        """The cached :class:`~repro.lanes.base.LaneResult`, or None on miss.
 
         An entry computed against a different *version* counts as a miss
         and is dropped on the spot (lazy staleness sweep).
         """
-        results = self._get_value(key, version)
-        return None if results is None else list(results)
-
-    def put(
-        self, key: Hashable, version: int, results: Sequence[ScoredQuery]
-    ) -> None:
-        """Store one result list under *key* at *version*."""
-        self._put_value(key, version, tuple(results))
-
-    def get_result(self, key: Hashable, version: int):
-        """A cached :class:`~repro.lanes.base.LaneResult`, or None.
-
-        Same lookup semantics as :meth:`get`, but the stored value is
-        returned as-is — lane results are frozen dataclasses, so no
-        defensive copy is needed.  Lane-aware callers (the live wrapper)
-        use this pair; :meth:`get`/:meth:`put` keep the original
-        list-of-suggestions contract for existing callers.
-        """
-        return self._get_value(key, version)
-
-    def put_result(self, key: Hashable, version: int, result) -> None:
-        """Store one lane result under *key* at *version*."""
-        self._put_value(key, version, result)
-
-    def _get_value(self, key: Hashable, version: int):
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -139,9 +112,10 @@ class ResultCache:
                         "Result-cache lookups served from memory")
             return value
 
-    def _put_value(self, key: Hashable, version: int, value) -> None:
+    def put(self, key: Hashable, version: int, result) -> None:
+        """Store one lane result under *key* at *version*."""
         with self._lock:
-            self._entries[key] = (int(version), value)
+            self._entries[key] = (int(version), result)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import io
+import json
 import re
 import shlex
 from pathlib import Path
@@ -235,8 +236,7 @@ class TestPrecompute:
         ])
         assert code == 0
         code, text = run([
-            "store", "info", "--data", str(toy_dir),
-            "--store", str(store_dir),
+            "store", "info", "--store", str(store_dir),
         ])
         assert code == 0
         assert "format version: 3" in text
@@ -252,7 +252,7 @@ class TestPrecompute:
         assert code == 0
         assert "migrated" in text and "v3 binary" in text
         code, text = run([
-            "store", "info", "--data", str(toy_dir), "--store", str(dest),
+            "store", "info", "--store", str(dest),
         ])
         assert code == 0
         assert "build.migrated_from" in text
@@ -287,15 +287,38 @@ class TestPrecompute:
         code, _ = run(argv[1:])
         assert code == 0
         code, text = run([
-            "store", "info", "--data", str(toy_dir), "--store", str(dest),
+            "store", "info", "--store", str(dest),
         ])
         assert code == 0
         assert "format version: 3" in text
 
+    def test_store_info_layered_without_data(self, toy_dir, tmp_path):
+        """``store info`` reads the manifest, blocks and layer chain of a
+        layered store with no corpus and no graph."""
+        store_dir = tmp_path / "store"
+        assert run([
+            "precompute", "--data", str(toy_dir), "--out", str(store_dir),
+        ])[0] == 0
+        rows = tmp_path / "rows.json"
+        rows.write_text(json.dumps([{
+            "table": "papers",
+            "row": {"pid": 90, "title": "skyline probe", "cid": 0,
+                    "year": 2013},
+        }]))
+        assert run([
+            "ingest", "--data", str(toy_dir), "--store", str(store_dir),
+            "--rows", str(rows),
+        ])[0] == 0
+        code, text = run(["store", "info", "--store", str(store_dir)])
+        assert code == 0
+        assert "+ 1 delta layer(s)" in text
+        assert "layer epoch: 1" in text
+        assert re.search(r"layer\.1: .*\(\d+ terms, 1 rows, ", text)
+        assert "build." in text
+
     def test_store_info_missing_is_error(self, toy_dir, tmp_path):
         code = main([
-            "store", "info", "--data", str(toy_dir),
-            "--store", str(tmp_path / "nope.json"),
+            "store", "info", "--store", str(tmp_path / "nope.json"),
         ], out=io.StringIO())
         assert code == 1
 

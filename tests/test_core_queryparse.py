@@ -91,9 +91,10 @@ class TestReformulatorIntegration:
         reformulator = Reformulator(
             graph, ReformulatorConfig(n_candidates=5)
         )
-        out = reformulator.reformulate_text(
-            "spatio temporal christian s. jensen", k=3
+        parsed = reformulator.parser.parse(
+            "spatio temporal christian s. jensen"
         )
+        out = reformulator.reformulate(list(parsed.keywords), k=3)
         assert out
         # the author position stays an author (same-class candidates)
         for suggestion in out:
@@ -107,4 +108,4 @@ class TestReformulatorIntegration:
             toy_graph, ReformulatorConfig(n_candidates=5)
         )
         with pytest.raises(ReformulationError):
-            reformulator.reformulate_text("   ")
+            reformulator.explain("   ")

@@ -7,6 +7,7 @@ from repro.core.reformulator import (
     METHODS,
     Reformulator,
     ReformulatorConfig,
+    decode_topk,
 )
 from repro.errors import ReformulationError
 
@@ -82,8 +83,8 @@ class TestReformulate:
         assert best.score > 0
 
     def test_with_timing(self, reformulator):
-        outcome = reformulator.reformulate_with_timing(
-            ["probabilistic", "query"], k=3
+        _queries, outcome = decode_topk(
+            reformulator.build_hmm(["probabilistic", "query"]), 3, "astar"
         )
         assert outcome.queries
         assert outcome.total_seconds >= 0

@@ -400,10 +400,12 @@ class TestLiveIngest:
         )
         keywords = self._probe_keywords(delta_rows)
         got = [
-            scored_to_dict(s) for s in live.reformulate(keywords, k=5)
+            scored_to_dict(s)
+            for s in live.reformulate_lane(keywords, k=5).suggestions
         ]
         want = [
-            scored_to_dict(s) for s in oracle.reformulate(keywords, k=5)
+            scored_to_dict(s)
+            for s in oracle.reformulate_lane(keywords, k=5).suggestions
         ]
         assert got == want
 
@@ -433,10 +435,12 @@ class TestLiveIngest:
 
         keywords = self._probe_keywords(delta_rows)
         got_a = [
-            scored_to_dict(s) for s in live_a.reformulate(keywords, k=5)
+            scored_to_dict(s)
+            for s in live_a.reformulate_lane(keywords, k=5).suggestions
         ]
         got_b = [
-            scored_to_dict(s) for s in live_b.reformulate(keywords, k=5)
+            scored_to_dict(s)
+            for s in live_b.reformulate_lane(keywords, k=5).suggestions
         ]
         assert got_a == got_b
 

@@ -21,10 +21,12 @@ from repro.errors import ReformulationError, ReproError
 from repro.graph.tat import TATGraph
 from repro.index.inverted import InvertedIndex
 from repro.lanes import (
+    BadRequestError,
     EnumerationLane,
     HmmLane,
     LaneRouter,
     RelaxationLane,
+    Request,
     RouterConfig,
     SchemaLane,
     UnknownLaneError,
@@ -119,7 +121,7 @@ class TestHmmLaneBitIdentity:
     @pytest.mark.parametrize("keywords", QUERIES, ids="-".join)
     def test_through_router(self, pipeline, keywords, algorithm):
         router = build_router(pipeline)
-        routed = router.route(keywords, k=5, algorithm=algorithm)
+        [routed] = router.route([Request(keywords, k=5, algorithm=algorithm)])
         assert routed.lane == "hmm" and routed.requested == "hmm"
         assert list(routed.suggestions) == pipeline.reformulate(
             keywords, k=5, algorithm=algorithm
@@ -157,8 +159,8 @@ class TestEnumerationLane:
         router = build_router(
             islands, RouterConfig(fallback_lane="relaxation")
         )
-        result = router.route(
-            ["skyline", "crowdsourcing"], k=5, lane="enumeration"
+        [result] = router.route(
+            [Request(["skyline", "crowdsourcing"], k=5, lane="enumeration")]
         )
         assert result.lane == "enumeration"
         assert result.cohesion is None
@@ -374,6 +376,39 @@ class TestRouterConfig:
         assert chained.cache_tag("relaxation") == "relaxation"
 
 
+class TestRequest:
+    """The validated request value every caller builds."""
+
+    def test_defaults_and_normalization(self):
+        request = Request(["pattern", "mining"])
+        assert request.keywords == ("pattern", "mining")
+        assert (request.k, request.lane, request.algorithm, request.budget) == (
+            10, None, "astar", None
+        )
+        assert Request(("pattern",), 3, "hmm", "viterbi_topk", 0.5).budget == 0.5
+
+    @pytest.mark.parametrize("fields", [
+        {"keywords": []},
+        {"keywords": "pattern"},
+        {"keywords": ["pattern", ""]},
+        {"keywords": ["pattern", 7]},
+        {"k": 0},
+        {"k": 2.0},
+        {"k": True},
+        {"lane": 7},
+        {"algorithm": "bogus"},
+        {"algorithm": ["astar"]},
+        {"budget": 0},
+        {"budget": -1.0},
+        {"budget": True},
+        {"budget": "1"},
+    ])
+    def test_rejects(self, fields):
+        arguments = {"keywords": ["pattern"], **fields}
+        with pytest.raises(BadRequestError):
+            Request(**arguments)
+
+
 class TestLaneRouter:
     """Dispatch, fallback chaining and provenance stamping."""
 
@@ -382,9 +417,9 @@ class TestLaneRouter:
             pipeline, RouterConfig(lanes=("hmm", "relaxation"))
         )
         with pytest.raises(UnknownLaneError):
-            router.route(["pattern"], lane="schema")
+            router.route([Request(["pattern"], lane="schema")])
         with pytest.raises(UnknownLaneError):
-            router.route(["pattern"], lane="warp")
+            router.route([Request(["pattern"], lane="warp")])
 
     def test_duplicate_registration_raises(self, pipeline):
         router = LaneRouter(RouterConfig(lanes=("hmm",)))
@@ -400,7 +435,9 @@ class TestLaneRouter:
         router = build_router(
             islands, RouterConfig(fallback_lane="relaxation")
         )
-        result = router.route(["skyline", "crowdsourcing"], k=5, lane="hmm")
+        [result] = router.route(
+            [Request(["skyline", "crowdsourcing"], k=5, lane="hmm")]
+        )
         assert result.lane == "relaxation"
         assert result.requested == "hmm"
         assert result.fallback_from == "hmm"
@@ -411,7 +448,9 @@ class TestLaneRouter:
         router = build_router(
             islands, RouterConfig(fallback_lane="relaxation")
         )
-        result = router.route(["skyline", "ranking"], k=5, lane="hmm")
+        [result] = router.route(
+            [Request(["skyline", "ranking"], k=5, lane="hmm")]
+        )
         assert result.lane == "hmm"
         assert result.fallback_from is None
 
@@ -420,9 +459,32 @@ class TestLaneRouter:
             islands, RouterConfig(fallback_lane="relaxation")
         )
         incohesive, cohesive = ["skyline", "crowdsourcing"], ["skyline", "ranking"]
-        results = router.route_many([incohesive, cohesive], k=5, lane="hmm")
+        results = router.route([
+            Request(incohesive, k=5, lane="hmm"),
+            Request(cohesive, k=5, lane="hmm"),
+        ])
         assert [r.lane for r in results] == ["relaxation", "hmm"]
         assert [r.fallback_from for r in results] == ["hmm", None]
         assert results[1].suggestions == tuple(
             islands.reformulate(cohesive, k=5)
         )
+
+
+class TestLaneReplay:
+    """The eval harness's replay and coverage go through one route call."""
+
+    def test_replay_and_fallback_coverage(self, islands):
+        from repro.eval.lanes import fallback_coverage, replay_lane
+
+        router = build_router(
+            islands, RouterConfig(lanes=("hmm", "relaxation"))
+        )
+        queries = [["skyline", "crowdsourcing"], ["skyline", "ranking"]]
+        results = replay_lane(router, queries, "hmm", k=5)
+        assert [result.suggestions for result in results] == [
+            tuple(islands.reformulate(query, k=5)) for query in queries
+        ]
+        coverage = fallback_coverage(router, queries, k=5)
+        assert (
+            coverage.n_queries, coverage.n_low_cohesion, coverage.n_answered
+        ) == (2, 1, 1)

@@ -22,25 +22,25 @@ class TestLifecycle:
         assert live.version == 0
 
     def test_first_query_builds(self, live):
-        live.reformulate(["probabilistic", "query"], k=2)
+        live.reformulate_lane(["probabilistic", "query"], k=2)
         assert live.version == 1
         assert not live.is_stale
 
     def test_queries_without_mutation_reuse_pipeline(self, live):
-        live.reformulate(["probabilistic", "query"], k=2)
+        live.reformulate_lane(["probabilistic", "query"], k=2)
         pipeline = live.pipeline()
-        live.reformulate(["pattern", "mining"], k=2)
+        live.reformulate_lane(["pattern", "mining"], k=2)
         assert live.pipeline() is pipeline
         assert live.version == 1
 
     def test_insert_marks_stale(self, live):
-        live.reformulate(["probabilistic", "query"], k=2)
+        live.reformulate_lane(["probabilistic", "query"], k=2)
         live.insert("papers", {
             "pid": 50, "title": "probabilistic mining study",
             "cid": 1, "year": 2012,
         })
         assert live.is_stale
-        live.reformulate(["probabilistic", "query"], k=2)
+        live.reformulate_lane(["probabilistic", "query"], k=2)
         assert live.version == 2
 
     def test_insert_many(self, live):
@@ -88,7 +88,7 @@ class TestFreshness:
             })
 
     def test_best_delegates(self, live):
-        best = live.best(["probabilistic", "query"])
+        best = live.pipeline().best(["probabilistic", "query"])
         assert best.score > 0
 
 
@@ -110,7 +110,7 @@ class TestStoreBackedServing:
         )
         backend = live.pipeline().similarity
         assert isinstance(backend, TermRelationStore)
-        out = live.reformulate(["probabilistic", "query"], k=3)
+        out = list(live.reformulate_lane(["probabilistic", "query"], k=3).suggestions)
         assert out and all(s.score > 0 for s in out)
 
     def test_rebuild_keeps_store_for_known_terms(self, tmp_path):
@@ -126,13 +126,13 @@ class TestStoreBackedServing:
         live = LiveReformulator(
             database, ReformulatorConfig(n_candidates=5), relations=root
         )
-        before = live.reformulate(["probabilistic", "query"], k=3)
+        before = list(live.reformulate_lane(["probabilistic", "query"], k=3).suggestions)
         version = live.version
         live.insert("papers", {
             "pid": 80, "title": "probabilistic stream processing",
             "cid": 0, "year": 2013,
         })
-        after = live.reformulate(["probabilistic", "query"], k=3)
+        after = list(live.reformulate_lane(["probabilistic", "query"], k=3).suggestions)
         assert live.version == version + 1  # pipeline rebuilt...
         # ...but stored relations for the old vocabulary still serve
         assert [s.text for s in after] == [s.text for s in before]
@@ -158,33 +158,33 @@ class TestStoreCache:
         """Rebuilds reuse the loaded store (rebound to the new graph)
         instead of reopening the store from disk every time."""
         live = _build_store_live(tmp_path)
-        live.reformulate(["probabilistic", "query"], k=2)
+        live.reformulate_lane(["probabilistic", "query"], k=2)
         store_before = live.pipeline().similarity
         live.insert("papers", {
             "pid": 90, "title": "probabilistic stream processing",
             "cid": 0, "year": 2013,
         })
-        live.reformulate(["probabilistic", "query"], k=2)
+        live.reformulate_lane(["probabilistic", "query"], k=2)
         store_after = live.pipeline().similarity
         assert store_after is store_before
         assert store_after.graph is live.pipeline().graph
 
     def test_reload_relations_rereads_from_disk(self, tmp_path):
         live = _build_store_live(tmp_path)
-        live.reformulate(["probabilistic", "query"], k=2)
+        live.reformulate_lane(["probabilistic", "query"], k=2)
         store_before = live.pipeline().similarity
         version = live.version
         live.reload_relations()
         assert live.is_stale
-        live.reformulate(["probabilistic", "query"], k=2)
+        live.reformulate_lane(["probabilistic", "query"], k=2)
         assert live.version == version + 1
         assert live.pipeline().similarity is not store_before
 
     def test_cached_store_still_serves_correctly(self, tmp_path):
         live = _build_store_live(tmp_path)
-        before = live.reformulate(["probabilistic", "query"], k=3)
+        before = list(live.reformulate_lane(["probabilistic", "query"], k=3).suggestions)
         live.invalidate()
-        after = live.reformulate(["probabilistic", "query"], k=3)
+        after = list(live.reformulate_lane(["probabilistic", "query"], k=3).suggestions)
         assert [s.text for s in after] == [s.text for s in before]
         assert [s.score for s in after] == [s.score for s in before]
 
@@ -196,13 +196,13 @@ class TestServingMetrics:
         live = _build_store_live(tmp_path)
         obs.reset()
         with obs.enabled():
-            live.reformulate(["probabilistic", "query"], k=2)
+            live.reformulate_lane(["probabilistic", "query"], k=2)
             live.insert("papers", {
                 "pid": 91, "title": "probabilistic stream processing",
                 "cid": 0, "year": 2013,
             })
             live.invalidate()
-            live.reformulate(["probabilistic", "query"], k=2)
+            live.reformulate_lane(["probabilistic", "query"], k=2)
         registry = obs.registry()
         assert registry.get("repro_live_rebuilds_total").value == 2.0
         assert registry.get("repro_live_rebuild_seconds").count == 2
@@ -216,6 +216,23 @@ class TestServingMetrics:
         live = _build_store_live(tmp_path)
         obs.reset()
         assert not obs.is_enabled()
-        live.reformulate(["probabilistic", "query"], k=2)
+        live.reformulate_lane(["probabilistic", "query"], k=2)
         assert obs.registry().get("repro_live_rebuilds_total") is None
         obs.reset()
+
+
+class TestBudgetedAnswers:
+    def test_budgeted_answer_does_not_poison_the_cache(self, live):
+        """A relaxation answer cut short by its wall-clock budget is not
+        cached, so the next unbudgeted request decodes in full."""
+        query = ["skyline", "crowdsourcing"]
+        starved = live.reformulate_lane(
+            query, k=5, lane="relaxation", budget=1e-12
+        )
+        assert starved.suggestions == ()
+        full = live.reformulate_lane(query, k=5, lane="relaxation")
+        fresh = LiveReformulator(
+            build_toy_database(), ReformulatorConfig(n_candidates=6)
+        ).reformulate_lane(query, k=5, lane="relaxation")
+        assert len(fresh.suggestions) == 1
+        assert full.suggestions == fresh.suggestions

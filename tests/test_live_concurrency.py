@@ -6,9 +6,9 @@ Covers the serving-daemon requirements on the in-process wrapper:
   racing a mutation trigger exactly one rebuild;
 * ``insert``/``reformulate`` hammered from threads never corrupts the
   version counter or returns through a half-built pipeline;
-* ``reformulate_many`` routes every batch entry through the
-  version-aware result LRU, sharing entries with the single-query path
-  and counting staleness bypasses per entry.
+* a batch through ``LiveReformulator.route`` sends every entry through
+  the version-aware result LRU, sharing entries with the single-query
+  path and counting staleness bypasses per entry.
 """
 
 import threading
@@ -17,6 +17,7 @@ import pytest
 
 from repro import obs
 from repro.core.reformulator import ReformulatorConfig
+from repro.lanes import Request
 from repro.live import LiveReformulator
 
 from tests.conftest import build_toy_database
@@ -24,6 +25,15 @@ from tests.conftest import build_toy_database
 
 QUERY = ["probabilistic", "query"]
 OTHER = ["pattern", "mining"]
+
+
+def batch(live, queries, k, algorithm="astar", workers=1):
+    """Suggestion lists of one batch through ``LiveReformulator.route``."""
+    requests = [Request(query, k, "hmm", algorithm) for query in queries]
+    return [
+        list(result.suggestions)
+        for result in live.route(requests, workers=workers)
+    ]
 
 
 def make_live(result_cache_size: int = 64) -> LiveReformulator:
@@ -99,7 +109,7 @@ class TestPipelineRebuildRace:
             try:
                 go.wait(timeout=10.0)
                 for _ in range(rounds):
-                    suggestions = live.reformulate(QUERY, k=3)
+                    suggestions = list(live.reformulate_lane(QUERY, k=3).suggestions)
                     assert suggestions and suggestions[0].score > 0
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
@@ -115,7 +125,7 @@ class TestPipelineRebuildRace:
             thread.join(timeout=120.0)
         assert not errors
         # every insert eventually lands: a final query sees all rows
-        live.reformulate(QUERY, k=3)
+        live.reformulate_lane(QUERY, k=3)
         assert not live.is_stale
         n_rows = len(live.database.table("papers"))
         assert n_rows >= 4 + n_writers * rounds
@@ -131,63 +141,65 @@ class TestReformulateManyCacheRouting:
         live = make_live()
         live.pipeline()  # build now: a stale batch would bypass the lookup
         cache = live.result_cache
-        first = live.reformulate_many([QUERY, OTHER], k=3)
+        first = batch(live, [QUERY, OTHER], k=3)
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 2
         assert len(cache) == 2
-        again = live.reformulate_many([QUERY, OTHER], k=3)
+        again = batch(live, [QUERY, OTHER], k=3)
         stats = cache.stats()
         assert stats.hits == 2 and stats.misses == 2
         assert again == first
 
     def test_batch_and_single_share_entries(self):
         live = make_live()
-        single = live.reformulate(QUERY, k=3)
+        single = list(live.reformulate_lane(QUERY, k=3).suggestions)
         hits_before = live.result_cache.stats().hits
-        batched = live.reformulate_many([QUERY, OTHER], k=3)
+        batched = batch(live, [QUERY, OTHER], k=3)
         assert live.result_cache.stats().hits == hits_before + 1
         assert batched[0] == single
         # and the batch-decoded entry now serves the single-query path
-        assert live.reformulate(OTHER, k=3) == batched[1]
+        assert list(live.reformulate_lane(OTHER, k=3).suggestions) == (
+            batched[1]
+        )
 
     def test_partial_batch_hit_decodes_only_misses(self):
         live = make_live()
-        live.reformulate_many([QUERY], k=3)
+        batch(live, [QUERY], k=3)
         decoded = []
         pipeline = live.pipeline()
-        original = pipeline.reformulate_many
+        original = pipeline.reformulate
 
-        def spying(queries, **kwargs):
-            decoded.extend([list(query) for query in queries])
-            return original(queries, **kwargs)
+        def spying(keywords, **kwargs):
+            decoded.append(list(keywords))
+            return original(keywords, **kwargs)
 
-        pipeline.reformulate_many = spying
+        pipeline.reformulate = spying
         try:
-            live.reformulate_many([QUERY, OTHER], k=3)
+            batch(live, [QUERY, OTHER], k=3)
         finally:
-            pipeline.reformulate_many = original
+            del pipeline.reformulate
         assert decoded == [OTHER]
 
     def test_distinct_parameters_do_not_collide(self):
         live = make_live()
-        top2 = live.reformulate_many([QUERY], k=2)[0]
-        top3 = live.reformulate_many([QUERY], k=3)[0]
+        top2 = batch(live, [QUERY], k=2)[0]
+        top3 = batch(live, [QUERY], k=3)[0]
         assert len(top2) <= 2
         assert len(top3) >= len(top2)
-        viterbi = live.reformulate_many(
+        viterbi = batch(live, 
             [QUERY], k=2, algorithm="viterbi_topk"
         )[0]
         assert [s.text for s in viterbi]  # decoded, not top2 served back
 
     def test_stale_batch_bypasses_and_counts_per_entry(self):
         live = make_live()
-        live.reformulate_many([QUERY, OTHER], k=3)
+        batch(live, [QUERY, OTHER], k=3)
         bypasses = live.cache_bypasses
         live.insert("papers", paper_row(0))
         assert live.is_stale
         obs.reset()
         with obs.enabled():
-            live.reformulate_many([QUERY, OTHER], k=3)
+            batch(live, [QUERY, OTHER], k=3)
         try:
             assert live.cache_bypasses == bypasses + 2
             counter = obs.registry().get(
@@ -198,15 +210,15 @@ class TestReformulateManyCacheRouting:
             obs.reset()
         # the rebuild re-populated the cache at the new version
         hits_before = live.result_cache.stats().hits
-        live.reformulate_many([QUERY, OTHER], k=3)
+        batch(live, [QUERY, OTHER], k=3)
         assert live.result_cache.stats().hits == hits_before + 2
 
     def test_matches_single_query_results_exactly(self):
         live = make_live()
-        batched = live.reformulate_many([QUERY, OTHER], k=4)
+        batched = batch(live, [QUERY, OTHER], k=4)
         fresh = make_live()
         for query, suggestions in zip([QUERY, OTHER], batched):
-            expected = fresh.reformulate(query, k=4)
+            expected = fresh.reformulate_lane(query, k=4).suggestions
             assert [
                 (s.text, s.score, s.state_path) for s in suggestions
             ] == [(s.text, s.score, s.state_path) for s in expected]
@@ -214,7 +226,7 @@ class TestReformulateManyCacheRouting:
     def test_cache_disabled_still_batches(self):
         live = make_live(result_cache_size=0)
         assert live.result_cache is None
-        results = live.reformulate_many([QUERY, OTHER], k=3, workers=2)
+        results = batch(live, [QUERY, OTHER], k=3, workers=2)
         assert len(results) == 2 and all(results)
 
     def test_concurrent_batches_share_cache_without_errors(self):
@@ -227,7 +239,7 @@ class TestReformulateManyCacheRouting:
             try:
                 go.wait(timeout=10.0)
                 for _ in range(5):
-                    results = live.reformulate_many([QUERY, OTHER], k=3)
+                    results = batch(live, [QUERY, OTHER], k=3)
                     assert len(results) == 2
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)

@@ -84,7 +84,7 @@ class TestReformulate:
             payload = response.json
             assert payload["degraded"] is False
             assert payload["degraded_mode"] is None
-            direct = server.live.reformulate(keywords, k=k)
+            direct = list(server.live.reformulate_lane(keywords, k=k).suggestions)
             assert suggestions_signature(
                 payload["suggestions"]
             ) == _signature(direct)
@@ -94,9 +94,9 @@ class TestReformulate:
             ["probabilistic", "query"], k=3, algorithm="viterbi_topk"
         )
         assert response.status == 200
-        direct = server.live.reformulate(
+        direct = list(server.live.reformulate_lane(
             ["probabilistic", "query"], k=3, algorithm="viterbi_topk"
-        )
+        ).suggestions)
         assert suggestions_signature(
             response.json["suggestions"]
         ) == _signature(direct)
@@ -152,7 +152,7 @@ class TestBatch:
         assert len(payload["results"]) == 3
         for query, entry in zip(queries, payload["results"]):
             assert entry["keywords"] == query
-            direct = server.live.reformulate(query, k=2)
+            direct = list(server.live.reformulate_lane(query, k=2).suggestions)
             assert suggestions_signature(
                 entry["suggestions"]
             ) == _signature(direct)
@@ -303,7 +303,7 @@ class TestDeadlineDegradation:
                 best = payload["suggestions"][0]
                 assert best["text"] and best["score"] > 0
                 assert len(best["state_path"]) == 2
-                direct = server.live.best(["pattern", "mining"])
+                direct = server.live.pipeline().best(["pattern", "mining"])
                 assert suggestions_signature(
                     payload["suggestions"]
                 ) == _signature([direct])
@@ -453,14 +453,14 @@ class TestShutdown:
         live = server.live
         started = threading.Event()
         release = threading.Event()
-        original = live.reformulate_lane
+        original = live.route
 
         def slow_reformulate(*args, **kwargs):
             started.set()
             assert release.wait(timeout=10.0)
             return original(*args, **kwargs)
 
-        live.reformulate_lane = slow_reformulate
+        live.route = slow_reformulate
         responses = []
 
         def fire():

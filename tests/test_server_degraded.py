@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import ALGORITHMS, astar_topk, decode_topk, viterbi_topk
 from repro.core.reformulator import ReformulatorConfig
+from repro.lanes import Request
 from repro.live import LiveReformulator
 from repro.server import (
     Deadline,
@@ -57,7 +58,7 @@ class TestFallbackAgreesWithTopkRank1:
     def test_top1_is_rank1_of_every_topk_lane(self, live, keywords):
         hmm = live.pipeline().build_hmm(keywords)
         expected = viterbi_topk(hmm, 1)[0]
-        assert live.best(keywords) == expected
+        assert live.pipeline().best(keywords) == expected
         for algorithm in ALGORITHMS:
             first = decode_topk(hmm, 5, algorithm)[0][0]
             assert first.state_path == expected.state_path, algorithm
@@ -65,9 +66,10 @@ class TestFallbackAgreesWithTopkRank1:
 
     @pytest.mark.parametrize("keywords", QUERIES, ids="-".join)
     def test_degraded_single_matches_raw_decode(self, server, live, keywords):
-        """``_degraded_single`` with a cold cache == the raw top-1 decode
+        """A degraded ``route`` with a cold cache == the raw top-1 decode
         == rank-1 of the full A* lane on the same assembled plan."""
-        result, mode = server._degraded_single(keywords, 4, "astar", "hmm")
+        [result] = live.route([Request(keywords, 4, "hmm")], degrade=True)
+        mode = result.degraded
         assert mode == DEGRADE_VITERBI
         suggestions = list(result.suggestions)
         assert len(suggestions) == 1
@@ -90,7 +92,7 @@ class TestDegradedHandler:
         assert response["degraded"] is True
         assert response["degraded_mode"] == DEGRADE_VITERBI
         assert len(response["suggestions"]) == 1
-        best = live.best(["probabilistic", "query"])
+        best = live.pipeline().best(["probabilistic", "query"])
         got = response["suggestions"][0]
         assert tuple(got["state_path"]) == best.state_path
         assert got["score"] == best.score
@@ -129,6 +131,20 @@ class TestDegradedHandler:
         assert live.is_stale
         response = server.handle_reformulate(payload, Deadline(0.0))
         assert response["degraded_mode"] == DEGRADE_VITERBI
+
+    def test_stale_degraded_request_counts_a_bypass(self, server, live):
+        """A degraded request on a stale pipeline skips the cache like
+        any other query, and is counted as a bypass."""
+        payload = {"keywords": ["uncertain", "query"], "k": 3}
+        server.handle_reformulate(payload, Deadline(None))
+        live.insert(
+            "papers",
+            {"pid": 91, "title": "bypass probe", "cid": 0, "year": 2013},
+        )
+        before = live.cache_bypasses
+        response = server.handle_reformulate(payload, Deadline(0.0))
+        assert response["degraded_mode"] == DEGRADE_VITERBI
+        assert live.cache_bypasses == before + 1
 
     def test_degraded_counter_increments(self, server):
         before = server.degraded_served

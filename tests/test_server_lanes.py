@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core.reformulator import ReformulatorConfig
+from repro.lanes import KNOWN_LANES, Request
 from repro.live import LiveReformulator
 from repro.server import (
     DEGRADE_CACHED,
@@ -25,6 +26,7 @@ from tests.test_lanes import build_islands_database
 
 INCOHESIVE = ["skyline", "crowdsourcing"]
 COHESIVE = ["skyline", "ranking"]
+QUERIES = [["pattern", "mining"], ["probabilistic", "query"], ["skyline"]]
 
 
 def _make_server(database=None, **config_kwargs) -> ReformulationServer:
@@ -348,3 +350,96 @@ class TestLaneObservability:
         finally:
             obs.reset()
             server.shutdown()
+
+
+class TestRequestValidation:
+    """An unknown algorithm 400s on every path, before any cache lookup."""
+
+    @pytest.mark.parametrize("deadline_ms", [None, 1], ids=["full", "degraded"])
+    @pytest.mark.parametrize("lane", (None,) + KNOWN_LANES)
+    def test_unknown_algorithm_400_everywhere(
+        self, client, server, lane, deadline_ms
+    ):
+        extra = {"algorithm": "bogus"}
+        if lane is not None:
+            extra["lane"] = lane
+        if deadline_ms is not None:
+            extra["deadline_ms"] = deadline_ms
+        before = server.live.result_cache.stats()
+        single = client.request(
+            "POST", "/reformulate", {"keywords": ["pattern"], **extra}
+        )
+        batch = client.request(
+            "POST", "/reformulate/batch",
+            {"queries": [["pattern"], ["mining"]], **extra},
+        )
+        for response in (single, batch):
+            assert response.status == 400
+            assert "algorithm" in response.json["error"]
+        assert server.live.result_cache.stats() == before
+
+
+class TestHttpMatchesInProcess:
+    """HTTP answers equal an independent in-process ``LiveReformulator``
+    with the same config — not the server's own cached instance."""
+
+    @staticmethod
+    def _independent(srv, database):
+        live = LiveReformulator(database, ReformulatorConfig(n_candidates=6))
+        live.configure_router(srv.config.router_config())
+        return live
+
+    @staticmethod
+    def _entry(result):
+        return {
+            "lane": result.lane,
+            "relaxed": result.relaxed,
+            "fallback_from": result.fallback_from,
+            "suggestions": [
+                (s.text, s.score, list(s.state_path))
+                for s in result.suggestions
+            ],
+        }
+
+    @staticmethod
+    def _wire(entry):
+        return {
+            "lane": entry["lane"],
+            "relaxed": entry["relaxed"],
+            "fallback_from": entry["fallback_from"],
+            "suggestions": [
+                (s["text"], s["score"], s["state_path"])
+                for s in entry["suggestions"]
+            ],
+        }
+
+    @pytest.mark.parametrize("lane", KNOWN_LANES)
+    def test_every_lane_single_and_batch(self, client, server, lane):
+        direct = self._independent(server, build_toy_database())
+        for query in QUERIES:
+            response = client.reformulate(query, k=3, lane=lane)
+            assert response.status == 200
+            want = direct.reformulate_lane(query, k=3, lane=lane)
+            assert self._wire(response.json) == self._entry(want)
+        response = client.reformulate_batch(QUERIES, k=3, lane=lane)
+        assert response.status == 200
+        want = direct.route([Request(q, 3, lane) for q in QUERIES])
+        assert [self._wire(e) for e in response.json["results"]] == [
+            self._entry(result) for result in want
+        ]
+
+    def test_fallback_chain(self, fallback_client, fallback_server):
+        direct = self._independent(fallback_server, build_islands_database())
+        for query in (INCOHESIVE, COHESIVE):
+            response = fallback_client.reformulate(query, k=5)
+            want = direct.reformulate_lane(query, k=5)
+            assert self._wire(response.json) == self._entry(want)
+        response = fallback_client.reformulate_batch(
+            [INCOHESIVE, COHESIVE], k=5, lane="relaxation"
+        )
+        want = direct.route(
+            [Request(q, 5, "relaxation") for q in (INCOHESIVE, COHESIVE)]
+        )
+        assert [self._wire(e) for e in response.json["results"]] == [
+            self._entry(result) for result in want
+        ]

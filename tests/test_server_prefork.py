@@ -98,7 +98,7 @@ class TestPoolBoot:
         for keywords in queries:
             expected = [
                 (s.text, s.score, tuple(s.state_path))
-                for s in warm_live.reformulate(keywords, k=5)
+                for s in warm_live.reformulate_lane(keywords, k=5).suggestions
             ]
             for _ in range(4):  # hit both workers
                 response = _fresh_request(

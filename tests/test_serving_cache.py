@@ -11,6 +11,8 @@ Three layers under test:
   and ``LiveReformulator``'s result LRU + staleness bypass counter.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import obs
@@ -18,6 +20,7 @@ from repro.core.hmm import IndexFrequency
 from repro.core.reformulator import Reformulator, ReformulatorConfig
 from repro.core.scoring import ScoredQuery
 from repro.errors import ReformulationError
+from repro.lanes import LaneResult, Request
 from repro.live import LiveReformulator
 from repro.serving import PlanCache, ResultCache
 
@@ -210,8 +213,12 @@ class TestPlanCache:
 # ResultCache
 # --------------------------------------------------------------------- #
 
-def _fake_results(tag: str):
-    return [ScoredQuery(terms=(tag,), score=0.5, state_path=(0,))]
+def _fake_results(tag: str) -> LaneResult:
+    return LaneResult(
+        lane="hmm",
+        suggestions=(ScoredQuery(terms=(tag,), score=0.5, state_path=(0,)),),
+        provenance=({"lane": "hmm", "relaxed": False},),
+    )
 
 
 class TestResultCache:
@@ -222,7 +229,8 @@ class TestResultCache:
         cache.put(key, 1, _fake_results("x"))
         got = cache.get(key, version=1)
         assert got == _fake_results("x")
-        got.append("junk")  # mutating the returned list is safe
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.suggestions = ()  # stored results are frozen: sharing is safe
         assert cache.get(key, version=1) == _fake_results("x")
 
     def test_version_mismatch_is_miss_and_evicts(self):
@@ -301,41 +309,41 @@ def live():
 
 class TestLiveServing:
     def test_repeat_query_hits_result_cache(self, live):
-        first = live.reformulate(["probabilistic", "query"], k=3)
+        first = list(live.reformulate_lane(["probabilistic", "query"], k=3).suggestions)
         hits_before = live.result_cache.stats().hits
-        second = live.reformulate(["probabilistic", "query"], k=3)
+        second = list(live.reformulate_lane(["probabilistic", "query"], k=3).suggestions)
         assert second == first
         assert live.result_cache.stats().hits == hits_before + 1
 
     def test_insert_evicts_on_rebuild(self, live):
-        live.reformulate(["probabilistic", "query"], k=3)
-        live.reformulate(["pattern", "mining"], k=3)
+        live.reformulate_lane(["probabilistic", "query"], k=3)
+        live.reformulate_lane(["pattern", "mining"], k=3)
         assert len(live.result_cache) == 2
         live.insert("papers", {
             "pid": 70, "title": "probabilistic query streams",
             "cid": 0, "year": 2013,
         })
-        live.reformulate(["probabilistic", "query"], k=3)  # rebuilds
+        live.reformulate_lane(["probabilistic", "query"], k=3)  # rebuilds
         stats = live.result_cache.stats()
         assert stats.evictions_stale == 2
         # only the re-served query is resident, at the new version
         assert len(live.result_cache) == 1
 
     def test_stale_query_bypasses_cache(self, live):
-        live.reformulate(["probabilistic", "query"], k=3)
+        live.reformulate_lane(["probabilistic", "query"], k=3)
         assert live.cache_bypasses == 1  # the cold first build counts
         live.invalidate()
-        live.reformulate(["probabilistic", "query"], k=3)
+        live.reformulate_lane(["probabilistic", "query"], k=3)
         assert live.cache_bypasses == 2
-        live.reformulate(["probabilistic", "query"], k=3)  # fresh -> no bump
+        live.reformulate_lane(["probabilistic", "query"], k=3)  # fresh -> no bump
         assert live.cache_bypasses == 2
 
     def test_bypass_counter_metric(self, live):
         obs.reset()
         with obs.enabled():
-            live.reformulate(["probabilistic", "query"], k=3)
+            live.reformulate_lane(["probabilistic", "query"], k=3)
             live.invalidate()
-            live.reformulate(["probabilistic", "query"], k=3)
+            live.reformulate_lane(["probabilistic", "query"], k=3)
             metric = obs.registry().get(
                 "repro_live_result_cache_bypass_total"
             )
@@ -348,22 +356,26 @@ class TestLiveServing:
             ReformulatorConfig(n_candidates=6, result_cache_size=0),
         )
         assert live.result_cache is None
-        first = live.reformulate(["probabilistic", "query"], k=3)
-        assert live.reformulate(["probabilistic", "query"], k=3) == first
+        first = live.reformulate_lane(["probabilistic", "query"], k=3)
+        again = live.reformulate_lane(["probabilistic", "query"], k=3)
+        assert list(again.suggestions) == list(first.suggestions)
 
     def test_reformulate_many_delegates(self, live):
-        batched = live.reformulate_many(QUERIES, k=3, workers=2)
+        results = live.route([Request(q, 3) for q in QUERIES], workers=2)
+        batched = [list(result.suggestions) for result in results]
         fresh = LiveReformulator(
             build_toy_database(), ReformulatorConfig(n_candidates=6)
         )
-        assert batched == [fresh.reformulate(q, k=3) for q in QUERIES]
+        assert batched == [
+            list(fresh.reformulate_lane(q, k=3).suggestions) for q in QUERIES
+        ]
 
     def test_plan_cache_counters_exported(self, live):
         """Cache counters reach the obs registry (the `repro stats` feed)."""
         obs.reset()
         with obs.enabled():
-            live.reformulate(["probabilistic", "query"], k=3)
-            live.reformulate(["probabilistic", "pattern"], k=3)
+            live.reformulate_lane(["probabilistic", "query"], k=3)
+            live.reformulate_lane(["probabilistic", "pattern"], k=3)
             registry = obs.registry()
             hits = registry.get(
                 "repro_plan_cache_hits_total", layer="term"
