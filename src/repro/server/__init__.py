@@ -9,12 +9,15 @@ service with an overload story:
 * :mod:`repro.server.deadline` — per-request budgets and the latency
   EWMA behind graceful degradation (cached result / single-best
   Viterbi instead of a blown deadline);
-* :mod:`repro.server.app` — the threaded ``http.server`` daemon:
+* :mod:`repro.server.app` — the daemon and its routes:
   ``POST /reformulate``, ``POST /reformulate/batch``, ``GET /similar``,
   ``GET /healthz``, ``GET /readyz``, ``GET /metrics``,
   ``GET /metrics/aggregate``, ``GET /debug/traces``,
   ``POST /admin/reload``, graceful SIGTERM drain; every response
   carries ``X-Request-Id`` (echoed from the client or generated);
+* :mod:`repro.server.transport` — the keep-alive HTTP/1.1 front end:
+  listening socket, accept loop, one thread per connection, request
+  framing and single-write responses;
 * :mod:`repro.server.accesslog` — JSON-lines per-request access log
   shared append-safely across pre-fork workers;
 * :mod:`repro.server.prefork` — :class:`PreforkServer`, the

@@ -64,12 +64,6 @@ class AccessLog:
                 except OSError:
                     logger.exception("access-log close failed")
 
-    def __enter__(self) -> "AccessLog":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
-
 
 def open_access_log(path: Optional[str]) -> Optional[AccessLog]:
     """An :class:`AccessLog` for *path*, or ``None`` when disabled."""

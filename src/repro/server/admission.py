@@ -12,8 +12,9 @@ length is the latency the *next* request will see.  Past
 ``queue_depth`` the daemon would only be manufacturing timeouts, so the
 honest answer is an immediate refusal the client can back off from.
 
-The controller is pure threading (no asyncio) to match the threaded
-``http.server`` stack, and is independently testable without sockets.
+The controller is pure threading (no asyncio) to match the
+thread-per-connection front end (:mod:`repro.server.transport`), and
+is independently testable without sockets.
 """
 
 from __future__ import annotations
@@ -39,12 +40,9 @@ class OverloadedError(ReproError):
     even for requests that never executed.
     """
 
-    def __init__(
-        self, reason: str, retry_after_s: int = 1, waited_s: float = 0.0
-    ) -> None:
+    def __init__(self, reason: str, waited_s: float = 0.0) -> None:
         super().__init__(f"overloaded ({reason})")
         self.reason = reason
-        self.retry_after_s = retry_after_s
         self.waited_s = waited_s
 
 

@@ -1,4 +1,4 @@
-"""The serving daemon: a threaded stdlib HTTP server over LiveReformulator.
+"""The serving daemon: HTTP routes over one LiveReformulator.
 
 Request lifecycle for the query routes (``/reformulate``,
 ``/reformulate/batch``, ``/similar``)::
@@ -17,8 +17,8 @@ Request lifecycle for the query routes (``/reformulate``,
   ``"degraded": true`` — a cheap answer beats a blown deadline.
 * **Drain**: SIGTERM (via :meth:`ReformulationServer.install_signal_handlers`)
   or :meth:`ReformulationServer.shutdown` stops accepting connections,
-  flips ``/readyz`` to 503, and joins in-flight handler threads before
-  returning.
+  flips ``/readyz`` to 503, closes idle keep-alive connections and
+  joins the threads of in-flight requests before returning.
 
 Health/metrics/admin routes bypass admission so the daemon stays
 observable and steerable under overload.
@@ -32,9 +32,10 @@ JSON line per request to the optional access log, and feeds the
 per-worker :class:`~repro.obs.flight.FlightRecorder` whose merged view
 is served at ``GET /debug/traces``.
 
-Everything is standard library: ``http.server`` threading stack, JSON
-bodies, and the existing :mod:`repro.obs` Prometheus exporter behind
-``GET /metrics``.
+Everything is standard library: the keep-alive HTTP/1.1 front end of
+:mod:`repro.server.transport` hands each parsed request to
+:meth:`ReformulationServer._dispatch`; JSON bodies; and the existing
+:mod:`repro.obs` Prometheus exporter behind ``GET /metrics``.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ import math
 import os
 import random
 import signal
-import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from typing import Any, Callable, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs
 
 from repro import obs
 from repro.core.scoring import ScoredQuery
@@ -71,11 +70,20 @@ from repro.server.accesslog import open_access_log
 from repro.server.admission import AdmissionController, OverloadedError
 from repro.server.config import ServerConfig
 from repro.server.deadline import Deadline, LatencyEstimator, should_degrade
+from repro.server.transport import Connection, HTTPFrontEnd
 
 logger = logging.getLogger("repro.server")
 
 _JSON = "application/json"
 _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Routes that consume pipeline capacity and go through admission.
+_QUERY_ROUTES = frozenset({"/reformulate", "/reformulate/batch", "/similar"})
+#: Routes metrics label by name; any other path is labelled "unknown".
+_KNOWN_ROUTES = _QUERY_ROUTES | {
+    "/healthz", "/readyz", "/metrics", "/metrics/aggregate",
+    "/debug/traces", "/admin/reload", "/admin/ingest",
+}
 
 #: Span names folded into the flat stage view of the access log:
 #: plan-cache assemble (candidate plans + HMM build + batch warm),
@@ -127,6 +135,33 @@ def _int_field(payload: Dict[str, Any], name: str, default: int,
     return value
 
 
+def drain_on_signals(shutdown: Callable[[], None], name: str) -> None:
+    """SIGTERM/SIGINT run *shutdown* on a helper thread named *name*.
+
+    The handler returns at once, so the interrupted main thread can
+    leave its serving loop once *shutdown* stops it.
+    """
+
+    def _handle(signum: int, _frame: Any) -> None:
+        logger.info("received signal %d, draining", signum)
+        threading.Thread(target=shutdown, name=name, daemon=True).start()
+
+    signal.signal(signal.SIGTERM, _handle)
+    signal.signal(signal.SIGINT, _handle)
+
+
+def _query_int(
+    params: Dict[str, List[str]], name: str, default: int, minimum: int
+) -> int:
+    try:
+        value = int(params.get(name, [str(default)])[0])
+    except ValueError:
+        raise BadRequestError(f"{name} must be an integer")
+    if value < minimum:
+        raise BadRequestError(f"{name} must be an integer >= {minimum}")
+    return value
+
+
 class ReformulationServer:
     """HTTP daemon wrapping one :class:`LiveReformulator`.
 
@@ -154,7 +189,7 @@ class ReformulationServer:
         self.latency = LatencyEstimator(
             floor_s=self.config.min_latency_estimate_s
         )
-        self._httpd: Optional[_HTTPServer] = None
+        self._httpd: Optional[HTTPFrontEnd] = None
         self._thread: Optional[threading.Thread] = None
         self._draining = threading.Event()
         self._started = threading.Event()
@@ -182,7 +217,7 @@ class ReformulationServer:
         """Bound ``(host, port)`` — resolves port 0 to the real one."""
         if self._httpd is None:
             return (self.config.host, self.config.port)
-        return self._httpd.server_address[:2]
+        return self._httpd.server_address
 
     @property
     def port(self) -> int:
@@ -203,13 +238,16 @@ class ReformulationServer:
             and self.live.version >= 1
         )
 
-    def _ensure_httpd(self) -> "_HTTPServer":
+    def _ensure_httpd(self) -> HTTPFrontEnd:
         with self._lifecycle_lock:
             if self._closed:
                 raise ReproError("server already shut down")
             if self._httpd is None:
-                self._httpd = _HTTPServer(
-                    (self.config.host, self.config.port), _Handler, app=self
+                self._httpd = HTTPFrontEnd(
+                    (self.config.host, self.config.port),
+                    self._dispatch,
+                    reuse_port=self.config.reuse_port,
+                    keepalive_timeout_s=self.config.keepalive_timeout_s,
                 )
             return self._httpd
 
@@ -242,23 +280,23 @@ class ReformulationServer:
             self.live.pipeline()
         self._serve_loop(httpd)
 
-    def _serve_loop(self, httpd: "_HTTPServer") -> None:
+    def _serve_loop(self, httpd: HTTPFrontEnd) -> None:
         logger.info("serving on %s:%d", *self.address)
         self._start_metrics_flusher()
         self._started.set()
         try:
-            httpd.serve_forever(poll_interval=0.1)
+            httpd.serve_forever()
         finally:
             self._close(httpd)
 
-    def _close(self, httpd: "_HTTPServer") -> None:
+    def _close(self, httpd: HTTPFrontEnd) -> None:
         """Join in-flight handlers and release the socket (idempotent)."""
         with self._lifecycle_lock:
             if self._closed:
                 return
             self._closed = True
-        # block_on_close + non-daemon handler threads: this join IS the
-        # drain — every accepted request finishes before we return.
+        # Non-daemon connection threads: this join IS the drain — every
+        # request being handled finishes before we return.
         httpd.server_close()
         self._stop_metrics_flusher()
         if self.access_log is not None:
@@ -287,19 +325,10 @@ class ReformulationServer:
         """SIGTERM/SIGINT -> graceful drain (main thread only).
 
         ``serve_forever`` runs in the main thread under the CLI, and
-        ``ThreadingHTTPServer.shutdown`` deadlocks when called from the
-        serving thread — so the handler hands the drain to a helper
-        thread and lets ``serve_forever`` return naturally.
+        :meth:`shutdown` waits for the accept loop to exit, so calling
+        it from the serving thread would deadlock.
         """
-
-        def _handle(signum: int, _frame: Any) -> None:
-            logger.info("received signal %d, draining", signum)
-            threading.Thread(
-                target=self.shutdown, name="repro-server-drain", daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, _handle)
-        signal.signal(signal.SIGINT, _handle)
+        drain_on_signals(self.shutdown, "repro-server-drain")
 
     # ------------------------------------------------------------------ #
     # request handling (HTTP-free, unit-testable)
@@ -465,13 +494,7 @@ class ReformulationServer:
         if not terms or not terms[0]:
             raise BadRequestError("missing required query parameter 'term'")
         term = terms[0].lower()
-        try:
-            n = int(params.get("n", ["10"])[0])
-        except ValueError:
-            raise BadRequestError("n must be an integer")
-        if n < 1:
-            raise BadRequestError("n must be an integer >= 1")
-        pairs = self.live.similar_terms(term, n)
+        pairs = self.live.similar_terms(term, _query_int(params, "n", 10, 1))
         return {
             "term": term,
             "similar": [
@@ -491,17 +514,12 @@ class ReformulationServer:
         """
         self.live.reload_relations()
         logger.info("admin reload: relation store cache dropped")
-        body = {
+        # per-worker semantics: the pool identity names who was refreshed
+        return self._with_pool_identity({
             "reloaded": True,
             "stale": self.live.is_stale,
             "version": self.live.version,
-        }
-        if self.config.metrics_spool_dir is not None:
-            # pool mode: per-worker semantics — name the worker that
-            # served this reload so callers can tell who was refreshed
-            body["worker"] = self.config.worker_index
-            body["pid"] = os.getpid()
-        return body
+        })
 
     def handle_admin_ingest(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """``POST /admin/ingest`` -> fold rows in as one delta layer.
@@ -532,7 +550,12 @@ class ReformulationServer:
             stats.n_rows, stats.epoch, stats.n_recomputed,
             stats.n_invalidated, time.perf_counter() - start,
         )
-        body = {"ingested": True, "stats": stats.to_dict()}
+        return self._with_pool_identity(
+            {"ingested": True, "stats": stats.to_dict()}
+        )
+
+    def _with_pool_identity(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        """*body* plus, in pool mode, the answering worker and pid."""
         if self.config.metrics_spool_dir is not None:
             body["worker"] = self.config.worker_index
             body["pid"] = os.getpid()
@@ -656,24 +679,15 @@ class ReformulationServer:
             self.access_log.write(record)
         return record
 
+    def _traces_snapshot(self) -> Dict[str, Any]:
+        return {
+            "worker": self.config.worker_index,
+            "traces": self.flight.snapshot(),
+        }
+
     def write_traces_snapshot(self) -> Optional[Path]:
         """Atomically spool this worker's flight-recorder contents."""
-        spool = self.config.metrics_spool_dir
-        if spool is None:
-            return None
-        root = Path(spool)
-        root.mkdir(parents=True, exist_ok=True)
-        path = root / f"traces-worker-{self.config.worker_index:04d}.json"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps({
-                "worker": self.config.worker_index,
-                "traces": self.flight.snapshot(),
-            }),
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
-        return path
+        return self._spool_write("traces-worker", self._traces_snapshot())
 
     def debug_traces_dict(self, limit: int = 0) -> Dict[str, Any]:
         """``GET /debug/traces`` payload: retained traces, pool-wide.
@@ -684,22 +698,11 @@ class ReformulationServer:
         ``traces-worker-*.json`` — the exact shape of the
         ``/metrics/aggregate`` merge, applied to trace records.
         """
-        spool = self.config.metrics_spool_dir
-        if spool is None:
-            snapshots = [{
-                "worker": self.config.worker_index,
-                "traces": self.flight.snapshot(),
-            }]
-            return merge_trace_snapshots(snapshots, limit=limit)
-        self.write_traces_snapshot()
-        snapshots = []
-        for path in sorted(Path(spool).glob("traces-worker-*.json")):
-            try:
-                snapshots.append(
-                    json.loads(path.read_text(encoding="utf-8"))
-                )
-            except (OSError, json.JSONDecodeError):
-                continue  # a sibling is mid-rotation; skip this scrape
+        if self.config.metrics_spool_dir is None:
+            snapshots = [self._traces_snapshot()]
+        else:
+            self.write_traces_snapshot()
+            snapshots = self._spool_read("traces-worker")
         return merge_trace_snapshots(snapshots, limit=limit)
 
     # ------------------------------------------------------------------ #
@@ -761,19 +764,33 @@ class ReformulationServer:
 
     def write_metrics_snapshot(self) -> Optional[Path]:
         """Atomically write this worker's registry snapshot to the spool."""
+        return self._spool_write(
+            "worker", obs.export.registry_to_dict(obs.registry())
+        )
+
+    def _spool_write(self, prefix: str, payload: Any) -> Optional[Path]:
+        """Atomically write ``<prefix>-NNNN.json`` for this worker."""
         spool = self.config.metrics_spool_dir
         if spool is None:
             return None
         root = Path(spool)
         root.mkdir(parents=True, exist_ok=True)
-        path = root / f"worker-{self.config.worker_index:04d}.json"
+        path = root / f"{prefix}-{self.config.worker_index:04d}.json"
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(obs.export.registry_to_dict(obs.registry())),
-            encoding="utf-8",
-        )
+        tmp.write_text(json.dumps(payload), encoding="utf-8")
         os.replace(tmp, path)
         return path
+
+    def _spool_read(self, prefix: str) -> List[Dict[str, Any]]:
+        """Every worker's ``<prefix>-NNNN.json`` snapshot in the spool."""
+        snapshots = []
+        spool = Path(self.config.metrics_spool_dir)
+        for path in sorted(spool.glob(f"{prefix}-*.json")):
+            try:
+                snapshots.append(json.loads(path.read_text(encoding="utf-8")))
+            except (OSError, json.JSONDecodeError):
+                continue  # a sibling is mid-rotation; skip this scrape
+        return snapshots
 
     def aggregate_metrics_dict(self) -> Dict[str, Any]:
         """Pool-wide metrics: every spooled worker snapshot, merged.
@@ -783,81 +800,25 @@ class ReformulationServer:
         pool, this worker writes a fresh snapshot first so its own
         numbers are as current as its ``/metrics`` view.
         """
-        spool = self.config.metrics_spool_dir
-        if spool is None:
+        if self.config.metrics_spool_dir is None:
             return obs.export.registry_to_dict(obs.registry())
         self.write_metrics_snapshot()
-        snapshots: List[Dict[str, Any]] = []
-        for path in sorted(Path(spool).glob("worker-*.json")):
-            try:
-                snapshots.append(
-                    json.loads(path.read_text(encoding="utf-8"))
-                )
-            except (OSError, json.JSONDecodeError):
-                continue  # a sibling is mid-rotation; skip this scrape
-        return obs.export.merge_snapshots(snapshots)
-
-
-class _HTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server that drains on close.
-
-    ``daemon_threads = False`` + ``block_on_close = True`` make
-    ``server_close()`` join every in-flight handler thread — that join
-    is the graceful-drain guarantee.
-    """
-
-    daemon_threads = False
-    block_on_close = True
-    allow_reuse_address = True
-
-    def __init__(self, address, handler, app: ReformulationServer) -> None:
-        self.app = app
-        # SO_REUSEPORT lets N worker processes share one listening port
-        # with kernel-balanced accepts (set per-instance: the attribute
-        # is honoured by TCPServer.server_bind on Python >= 3.11).
-        self.allow_reuse_port = app.config.reuse_port
-        super().__init__(address, handler)
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Route dispatch; all real work lives on :class:`ReformulationServer`."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-server/1.0"
-    # Responses are written as headers-then-body; with Nagle on, the
-    # body segment stalls behind the peer's delayed ACK (~40ms per
-    # request on Linux loopback).  Flush immediately.
-    disable_nagle_algorithm = True
-
-    # Routes that consume pipeline capacity and go through admission.
-    QUERY_ROUTES = {"/reformulate", "/reformulate/batch", "/similar"}
-
-    @property
-    def app(self) -> ReformulationServer:
-        return self.server.app  # type: ignore[attr-defined]
-
-    def setup(self) -> None:
-        super().setup()
-        # Bounds idle keep-alive reads, which bounds drain time too.
-        self.timeout = self.app.config.keepalive_timeout_s
-        self.connection.settimeout(self.timeout)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        logger.debug("%s %s", self.address_string(), format % args)
+        return obs.export.merge_snapshots(self._spool_read("worker"))
 
     # ------------------------------------------------------------------ #
-    # verbs
+    # HTTP dispatch: one call per well-framed request from the transport
     # ------------------------------------------------------------------ #
 
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def _dispatch(self, verb: str) -> None:
-        split = urlsplit(self.path)
-        route = split.path.rstrip("/") or "/"
+    def _dispatch(
+        self,
+        conn: Connection,
+        verb: str,
+        target: str,
+        headers: Dict[str, str],
+        body: bytes,
+    ) -> None:
+        path, _, query_string = target.partition("?")
+        route = path.rstrip("/") or "/"
         start = time.perf_counter()
         status = 500
         # Trace identity: echo the client's X-Request-Id when it is
@@ -865,12 +826,12 @@ class _Handler(BaseHTTPRequestHandler):
         # contextvar so spans opened anywhere below (including pipeline
         # worker threads) attach to this request.
         ctx = TraceContext(
-            trace_id=sanitize_trace_id(self.headers.get("X-Request-Id"))
+            trace_id=sanitize_trace_id(headers.get("x-request-id"))
             or new_trace_id(),
-            sampled=self.app.sample_trace(),
+            sampled=self.sample_trace(),
         )
-        self._trace_ctx: Optional[TraceContext] = ctx
-        self._stages: Dict[str, float] = {}
+        stages: Dict[str, float] = {}
+        extra_headers: Optional[Dict[str, str]] = None
         token = set_current_trace(ctx)
         root_span: Optional[Span] = None
         shed_reason: Optional[str] = None
@@ -879,69 +840,59 @@ class _Handler(BaseHTTPRequestHandler):
                 if isinstance(root, Span):
                     root_span = root
                 try:
-                    # Always consume the body first: responding with
-                    # unread bytes desyncs keep-alive framing.
                     parse_start = time.perf_counter()
-                    payload = (
-                        self._read_json_body() if verb == "POST" else {}
+                    payload = _json_body(body) if verb == "POST" else {}
+                    stages["parse"] = time.perf_counter() - parse_start
+                    status, content = self._route(
+                        verb, route, query_string, payload, stages
                     )
-                    self._stages["parse"] = (
-                        time.perf_counter() - parse_start
-                    )
-                    status = self._route(verb, route, split.query, payload)
                 except OverloadedError as exc:
-                    retry_after = self.app.retry_after_s()
-                    self.app.record_shed(exc.reason)
+                    retry_after = self.retry_after_s()
+                    self.record_shed(exc.reason)
                     shed_reason = exc.reason
-                    self._stages["queue_wait"] = exc.waited_s
+                    stages["queue_wait"] = exc.waited_s
                     status = 429
-                    self._send_json(
-                        429,
-                        {"error": str(exc), "retry_after_s": retry_after},
-                        extra_headers={"Retry-After": str(retry_after)},
-                    )
-                except BadRequestError as exc:
+                    content = {"error": str(exc), "retry_after_s": retry_after}
+                    extra_headers = {"Retry-After": str(retry_after)}
+                except ReproError as exc:  # BadRequestError included
                     ctx.annotate("error", str(exc))
-                    status = 400
-                    self._send_json(400, {"error": str(exc)})
-                except ReproError as exc:
-                    ctx.annotate("error", str(exc))
-                    status = 400
-                    self._send_json(400, {"error": str(exc)})
-                except (BrokenPipeError, ConnectionResetError):
-                    ctx.annotate("error", "client disconnected")
-                    status = 499
-                    self.close_connection = True
+                    status, content = 400, {"error": str(exc)}
                 except Exception as exc:  # noqa: BLE001 - last-resort 500
-                    logger.exception(
-                        "unhandled error on %s %s", verb, route
-                    )
+                    logger.exception("unhandled error on %s %s", verb, route)
                     ctx.annotate("error", f"{type(exc).__name__}: {exc}")
                     status = 500
-                    self._send_json(500, {"error": f"internal error: {exc}"})
+                    content = {"error": f"internal error: {exc}"}
+                if isinstance(content, str):  # Prometheus exposition
+                    payload_bytes, content_type = content.encode(), _PROMETHEUS
+                else:
+                    serialize_start = time.perf_counter()
+                    payload_bytes = json.dumps(content).encode("utf-8")
+                    stages["serialize"] = time.perf_counter() - serialize_start
+                    content_type = _JSON
+                # written after the admission permit is released: a slow
+                # reader holds a connection thread, never a permit
+                try:
+                    conn.send(
+                        status, payload_bytes, content_type, ctx.trace_id,
+                        extra_headers,
+                    )
+                except OSError:
+                    ctx.annotate("error", "client disconnected")
+                    status = 499
                 if root_span is not None:
                     root_span.set_attribute("status", status)
         finally:
             reset_current_trace(token)
             elapsed = time.perf_counter() - start
-            label = route if route in self._known_routes() else "unknown"
-            self.app.record_request(
-                label, status, elapsed, trace_id=ctx.trace_id
-            )
+            label = route if route in _KNOWN_ROUTES else "unknown"
+            self.record_request(label, status, elapsed, trace_id=ctx.trace_id)
             try:
-                self.app.observe_trace(
+                self.observe_trace(
                     ctx, verb, label, status, elapsed,
-                    self._stages, root_span, shed_reason,
+                    stages, root_span, shed_reason,
                 )
             except Exception:  # noqa: BLE001 - tracing never fails requests
                 logger.exception("trace observation failed")
-
-    @classmethod
-    def _known_routes(cls) -> set:
-        return cls.QUERY_ROUTES | {
-            "/healthz", "/readyz", "/metrics", "/metrics/aggregate",
-            "/debug/traces", "/admin/reload", "/admin/ingest",
-        }
 
     def _route(
         self,
@@ -949,55 +900,41 @@ class _Handler(BaseHTTPRequestHandler):
         route: str,
         query_string: str,
         payload: Dict[str, Any],
-    ) -> int:
-        app = self.app
+        stages: Dict[str, float],
+    ) -> Tuple[int, Any]:
+        """``(status, content)``: a JSON-able dict, or exposition text."""
+        if verb not in ("GET", "POST"):
+            return 501, {"error": f"unsupported method {verb!r}"}
         if verb == "GET" and route == "/healthz":
-            body = {
+            return 200, self._with_pool_identity({
                 "status": "ok",
-                "draining": app.draining,
-                "ingest_epoch": app.live.ingest_epoch,
-            }
-            if app.config.metrics_spool_dir is not None:
-                # pool mode: identify which worker answered the probe
-                body["worker"] = app.config.worker_index
-                body["pid"] = os.getpid()
-            return self._send_json(200, body)
-        if verb == "GET" and route == "/readyz":
-            if app.ready:
-                return self._send_json(200, {
-                    "status": "ready", "version": app.live.version,
-                })
-            return self._send_json(503, {
-                "status": "draining" if app.draining else "warming",
+                "draining": self.draining,
+                "ingest_epoch": self.live.ingest_epoch,
             })
+        if verb == "GET" and route == "/readyz":
+            if self.ready:
+                return 200, {"status": "ready", "version": self.live.version}
+            return 503, {"status": "draining" if self.draining else "warming"}
         if verb == "GET" and route == "/metrics":
-            text = obs.export.registry_to_prometheus(obs.registry())
-            return self._send_bytes(200, text.encode("utf-8"), _PROMETHEUS)
+            return 200, obs.export.registry_to_prometheus(obs.registry())
         if verb == "GET" and route == "/metrics/aggregate":
-            text = obs.export.prometheus_from_dict(
-                app.aggregate_metrics_dict()
+            return 200, obs.export.prometheus_from_dict(
+                self.aggregate_metrics_dict()
             )
-            return self._send_bytes(200, text.encode("utf-8"), _PROMETHEUS)
         if verb == "GET" and route == "/debug/traces":
-            params = parse_qs(query_string)
-            try:
-                limit = int(params.get("n", ["0"])[0])
-            except ValueError:
-                raise BadRequestError("n must be an integer")
-            if limit < 0:
-                raise BadRequestError("n must be an integer >= 0")
-            return self._send_json(200, app.debug_traces_dict(limit=limit))
+            limit = _query_int(parse_qs(query_string), "n", 0, 0)
+            return 200, self.debug_traces_dict(limit=limit)
         if verb == "POST" and route == "/admin/reload":
-            return self._send_json(200, app.handle_admin_reload())
+            return 200, self.handle_admin_reload()
         if verb == "POST" and route == "/admin/ingest":
-            return self._send_json(200, app.handle_admin_ingest(payload))
-        if route not in self.QUERY_ROUTES:
-            return self._send_json(404, {"error": f"no route {route}"})
+            return 200, self.handle_admin_ingest(payload)
+        if route not in _QUERY_ROUTES:
+            return 404, {"error": f"no route {route}"}
         if (verb == "GET") != (route == "/similar"):
-            return self._send_json(405, {"error": f"wrong verb for {route}"})
+            return 405, {"error": f"wrong verb for {route}"}
 
         deadline_ms = payload.get(
-            "deadline_ms", self.app.config.default_deadline_ms
+            "deadline_ms", self.config.default_deadline_ms
         )
         if not isinstance(deadline_ms, (int, float)) or isinstance(
             deadline_ms, bool
@@ -1006,82 +943,27 @@ class _Handler(BaseHTTPRequestHandler):
         deadline = Deadline.from_ms(deadline_ms)
         wait_cap = None if deadline.unlimited else deadline.remaining()
         with obs.span("admission") as admission_span:
-            waited = app.admission.acquire(timeout_s=wait_cap)
+            waited = self.admission.acquire(timeout_s=wait_cap)
             admission_span.set_attribute("waited_s", round(waited, 6))
-        self._stages["queue_wait"] = waited
+        stages["queue_wait"] = waited
         try:
             with obs.span("handle", route=route):
                 if route == "/reformulate":
-                    return self._send_json(
-                        200, app.handle_reformulate(payload, deadline)
-                    )
+                    return 200, self.handle_reformulate(payload, deadline)
                 if route == "/reformulate/batch":
-                    return self._send_json(
-                        200, app.handle_batch(payload, deadline)
-                    )
-                return self._send_json(
-                    200, app.handle_similar(parse_qs(query_string))
-                )
+                    return 200, self.handle_batch(payload, deadline)
+                return 200, self.handle_similar(parse_qs(query_string))
         finally:
-            app.admission.release()
+            self.admission.release()
 
-    # ------------------------------------------------------------------ #
-    # body / response plumbing
-    # ------------------------------------------------------------------ #
 
-    def _read_json_body(self) -> Dict[str, Any]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise BadRequestError("invalid Content-Length")
-        if length <= 0:
-            return {}
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BadRequestError(f"body is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise BadRequestError("body must be a JSON object")
-        return payload
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> int:
-        serialize_start = time.perf_counter()
-        body = json.dumps(payload).encode("utf-8")
-        stages = getattr(self, "_stages", None)
-        if stages is not None:
-            stages["serialize"] = (
-                stages.get("serialize", 0.0)
-                + time.perf_counter()
-                - serialize_start
-            )
-        return self._send_bytes(status, body, _JSON, extra_headers)
-
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> int:
-        # Every response — 200s, 400s, 429 sheds, health probes —
-        # carries the request's trace id so clients can correlate.
-        ctx = getattr(self, "_trace_ctx", None)
-        trace_id = ctx.trace_id if ctx is not None else new_trace_id()
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("X-Request-Id", trace_id)
-            for name, value in (extra_headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError, socket.timeout):
-            self.close_connection = True
-        return status
+def _json_body(body: bytes) -> Dict[str, Any]:
+    if not body:
+        return {}
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadRequestError(f"body is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise BadRequestError("body must be a JSON object")
+    return payload

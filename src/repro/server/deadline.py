@@ -24,21 +24,14 @@ from typing import Optional
 
 
 class Deadline:
-    """Monotonic-clock budget for one request (``None`` = unlimited).
+    """Monotonic-clock budget for one request (``None`` = unlimited)."""
 
-    The construction stamp is kept even for unlimited deadlines, so
-    :meth:`elapsed` gives the request's age for stage attribution (the
-    access log's per-stage timings) regardless of whether a budget
-    applies.
-    """
-
-    __slots__ = ("budget_s", "_started_at", "_expires_at")
+    __slots__ = ("budget_s", "_expires_at")
 
     def __init__(self, budget_s: Optional[float]) -> None:
         self.budget_s = budget_s
-        self._started_at = time.perf_counter()
         self._expires_at = (
-            None if budget_s is None else self._started_at + budget_s
+            None if budget_s is None else time.perf_counter() + budget_s
         )
 
     @classmethod
@@ -59,18 +52,9 @@ class Deadline:
             return math.inf
         return self._expires_at - time.perf_counter()
 
-    def elapsed(self) -> float:
-        """Seconds since the deadline started (request receive time)."""
-        return time.perf_counter() - self._started_at
-
     def expired(self) -> bool:
         """True when the budget is spent."""
         return self.remaining() <= 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.unlimited:
-            return "Deadline(unlimited)"
-        return f"Deadline(remaining={self.remaining():.3f}s)"
 
 
 class LatencyEstimator:

@@ -72,7 +72,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import obs
 from repro.errors import ReproError
 from repro.live import LiveReformulator
-from repro.server.app import ReformulationServer
+from repro.server.app import ReformulationServer, drain_on_signals
 from repro.server.config import ServerConfig
 
 logger = logging.getLogger("repro.server.prefork")
@@ -213,16 +213,7 @@ class PreforkServer:
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT on the master -> fan-out drain of the pool."""
-
-        def _handle(signum: int, _frame) -> None:
-            logger.info("master received signal %d, draining pool", signum)
-            threading.Thread(
-                target=self.shutdown, name="repro-prefork-drain",
-                daemon=True,
-            ).start()
-
-        signal.signal(signal.SIGTERM, _handle)
-        signal.signal(signal.SIGINT, _handle)
+        drain_on_signals(self.shutdown, "repro-prefork-drain")
 
     def shutdown(self) -> None:
         """Drain every worker, reap them, release the port (idempotent)."""
@@ -232,19 +223,7 @@ class PreforkServer:
         self._stopping.set()
         with self._workers_lock:
             targets = [w for w in self._workers.values() if w.alive]
-        for worker in targets:
-            self._signal(worker, signal.SIGTERM)
-        deadline = time.monotonic() + self.drain_timeout_s
-        for worker in targets:
-            self._reap(worker, deadline)
-        for worker in targets:
-            if worker.alive:
-                logger.warning(
-                    "worker %d (pid %d) did not drain in %.1fs; killing",
-                    worker.index, worker.pid, self.drain_timeout_s,
-                )
-                self._signal(worker, signal.SIGKILL)
-                self._reap(worker, time.monotonic() + 5.0)
+        self._drain_workers(targets)
         # final sweep: a worker respawned by the monitor in the instant
         # before _stopping was set would not be in `targets`
         with self._workers_lock:
@@ -252,12 +231,7 @@ class PreforkServer:
                 w for w in self._workers.values()
                 if w.alive and w not in targets
             ]
-        for worker in stragglers:
-            self._signal(worker, signal.SIGTERM)
-            self._reap(worker, time.monotonic() + self.drain_timeout_s)
-            if worker.alive:
-                self._signal(worker, signal.SIGKILL)
-                self._reap(worker, time.monotonic() + 5.0)
+        self._drain_workers(stragglers)
         if self._monitor is not None:
             self._stopped.set()
             self._monitor.join(timeout=5.0)
@@ -271,6 +245,22 @@ class PreforkServer:
             shutil.rmtree(self._spool_dir, ignore_errors=True)
         self._stopped.set()
         logger.info("pre-fork pool drained and closed")
+
+    def _drain_workers(self, targets: List[_Worker]) -> None:
+        """SIGTERM *targets*, reap them, SIGKILL any past the timeout."""
+        for worker in targets:
+            self._signal(worker, signal.SIGTERM)
+        deadline = time.monotonic() + self.drain_timeout_s
+        for worker in targets:
+            self._reap(worker, deadline)
+        for worker in targets:
+            if worker.alive:
+                logger.warning(
+                    "worker %d (pid %d) did not drain in %.1fs; killing",
+                    worker.index, worker.pid, self.drain_timeout_s,
+                )
+                self._signal(worker, signal.SIGKILL)
+                self._reap(worker, time.monotonic() + 5.0)
 
     # ------------------------------------------------------------------ #
     # port reservation
@@ -370,13 +360,21 @@ class PreforkServer:
     # ------------------------------------------------------------------ #
 
     def _await_ready(self, timeout_s: float) -> None:
-        deadline = time.monotonic() + timeout_s
         with self._workers_lock:
             pending = [w for w in self._workers.values() if not w.ready]
+        try:
+            self._await_workers(pending, timeout_s)
+        except ReproError:
+            self.shutdown()
+            raise
+
+    def _await_workers(self, pending: List[_Worker], timeout_s: float) -> None:
+        """READY handshake of *pending* workers, within *timeout_s*."""
+        deadline = time.monotonic() + timeout_s
+        pending = list(pending)
         while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                self.shutdown()
                 raise ReproError(
                     f"workers not ready after {timeout_s:.0f}s: "
                     f"{[w.index for w in pending]}"
@@ -390,14 +388,12 @@ class PreforkServer:
                 line = self._read_status_line(worker)
                 if line is None:
                     continue
-                if line.startswith("READY"):
-                    worker.ready = True
-                    pending.remove(worker)
-                else:
-                    self.shutdown()
+                if not line.startswith("READY"):
                     raise ReproError(
                         f"worker {worker.index} failed to start: {line}"
                     )
+                worker.ready = True
+                pending.remove(worker)
 
     def _read_status_line(self, worker: _Worker) -> Optional[str]:
         """One newline-terminated status line, or None if incomplete."""
@@ -483,34 +479,10 @@ class PreforkServer:
                     worker.index, respawns=worker.respawns + 1
                 )
                 try:
-                    self._await_worker(replacement, timeout_s=60.0)
+                    self._await_workers([replacement], timeout_s=60.0)
                 except ReproError:
                     logger.exception(
                         "respawned worker %d failed its handshake",
                         worker.index,
                     )
             self._stopping.wait(0.2)
-
-    def _await_worker(self, worker: _Worker, timeout_s: float) -> None:
-        """READY handshake for one (respawned) worker."""
-        deadline = time.monotonic() + timeout_s
-        while not worker.ready:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ReproError(
-                    f"worker {worker.index} not ready after {timeout_s:.0f}s"
-                )
-            readable, _w, _x = select.select(
-                [worker.status_fd], [], [], min(remaining, 0.5)
-            )
-            if worker.status_fd not in readable:
-                continue
-            line = self._read_status_line(worker)
-            if line is None:
-                continue
-            if line.startswith("READY"):
-                worker.ready = True
-            else:
-                raise ReproError(
-                    f"worker {worker.index} failed to start: {line}"
-                )
