@@ -6,9 +6,9 @@ gated metric accessors.  With the module switch off, all of those
 collapse to a boolean check plus a shared no-op object — this guard
 pins the cost of that collapse at **under 5%** against an
 un-instrumented baseline assembled from the pipeline's raw stage
-components (``candidates.build`` + ``ReformulationHMM.build`` +
-``astar_topk`` + ``_postprocess``), which carry no instrumentation at
-all.
+components (``candidates.build`` + ``ReformulationHMM.build`` + the
+pipeline's span-free ``_decode``, which streams A* completions into
+``_postprocess``), which carry no instrumentation at all.
 
 That baseline also does more work than the path it guards: it rebuilds
 the candidate lists and the HMM on every call, while ``reformulate``
@@ -31,7 +31,6 @@ Run as a script for a quick local check::
 import time
 
 from repro import obs
-from repro.core.astar import astar_topk
 from repro.core.hmm import ReformulationHMM
 from repro.obs.trace import TraceContext, new_trace_id, trace_scope
 
@@ -54,9 +53,7 @@ def _uninstrumented(reformulator, keywords, k):
         frequency=reformulator.frequency,
         smoothing_lambda=reformulator.config.smoothing_lambda,
     )
-    want = k + reformulator._slack(keywords)
-    raw = astar_topk(hmm, want).queries
-    return reformulator._postprocess(keywords, raw, k)
+    return reformulator._decode(keywords, hmm, k, "astar")[0]
 
 
 def _best_of(fn, rounds, calls_per_round):

@@ -297,14 +297,15 @@ class ReformulationHMM:
             score *= float(self.emissions[i][path[i]])
         return score
 
-    def scored_query(self, path: Sequence[int]) -> ScoredQuery:
-        """Materialize a path into a :class:`ScoredQuery`."""
+    def scored_query(self, path: Sequence[int],
+                     score: Optional[float] = None) -> ScoredQuery:
+        """Materialize a path (with its Eq 10 *score*, when known)."""
         terms = tuple(
             self.states[i][s].text for i, s in enumerate(path)
         )
         return ScoredQuery(
             terms=terms,
-            score=self.path_score(path),
+            score=self.path_score(path) if score is None else score,
             state_path=tuple(path),
         )
 

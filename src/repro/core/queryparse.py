@@ -10,7 +10,7 @@ corpus:
    vocabulary matchable as token n-grams);
 2. at each position prefer the **longest** token n-gram that is a known
    term (atomic names first — they are the reason segmentation exists —
-   then learned phrases, then single words);
+   then single words);
 3. unknown tokens pass through as single keywords (the candidate builder
    handles out-of-vocabulary terms gracefully).
 """

@@ -28,10 +28,10 @@ import contextvars
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.core.astar import AStarOutcome, astar_topk
+from repro.core.astar import AStarOutcome, AStarSearch, astar_topk
 from repro.core.candidates import CandidateListBuilder, CandidateState
 from repro.core.enumeration import RankBasedReformulator, brute_force_topk
 from repro.core.explain import (
@@ -465,11 +465,11 @@ class Reformulator:
             for size in sizes:
                 size_hist.observe(size)
 
-        want = k + self._slack(keywords)
         if self.config.method == "rank":
             with span_fn("decode", algorithm="rank") as sp:
                 ranker = RankBasedReformulator(states)
-                raw = ranker.topk(want)
+                raw = ranker.topk(k + self._slack(keywords))
+                out = self._postprocess(keywords, raw, k)
                 sp.set_attribute("raw_results", len(raw))
             if detail is not None:
                 detail["rank"] = ranker
@@ -488,28 +488,43 @@ class Reformulator:
                 sp.set_attribute("length", hmm.length)
                 sp.set_attribute("search_space", hmm.search_space)
             with span_fn("decode", algorithm=algorithm) as sp:
-                raw, outcome = decode_topk(hmm, want, algorithm)
-                if outcome is not None:
-                    sp.set_attribute("expanded", outcome.expanded)
-                    sp.set_attribute("pushed", outcome.pushed)
+                out, n_raw, search = self._decode(keywords, hmm, k, algorithm)
+                if search is not None:
+                    sp.set_attribute("expanded", search.expanded)
+                    sp.set_attribute("pushed", search.pushed)
                     if enabled:
                         registry = obs.registry()
                         registry.counter(
                             "repro_astar_expanded_total",
                             "A* partial paths popped from IP",
-                        ).inc(outcome.expanded)
+                        ).inc(search.expanded)
                         registry.counter(
                             "repro_astar_pushed_total",
                             "A* partial paths pushed onto IP",
-                        ).inc(outcome.pushed)
-                sp.set_attribute("raw_results", len(raw))
+                        ).inc(search.pushed)
+                sp.set_attribute("raw_results", n_raw)
             if detail is not None:
                 detail["hmm"] = hmm
 
+        # Filtering ran inside the decode span (A* feeds it path by path).
         with span_fn("postprocess") as sp:
-            out = self._postprocess(keywords, raw, k)
             sp.set_attribute("kept", len(out))
         return out
+
+    def _decode(
+        self, keywords: Sequence[str], hmm: ReformulationHMM, k: int,
+        algorithm: str,
+    ) -> Tuple[List[ScoredQuery], int, Optional[AStarSearch]]:
+        """``_postprocess(decode_topk(hmm, k + _slack), k)``, the paths
+        decoded for it and the A* search (None if the algorithm cannot
+        resume), which streams completions only until k survive."""
+        ceiling = k + self._slack(keywords)
+        if algorithm in ("astar", "astar_log"):
+            search = AStarSearch(hmm, log_space=algorithm == "astar_log")
+            out = self._postprocess(keywords, search.ranked(ceiling), k)
+            return out, search.completed, search
+        raw, _outcome = decode_topk(hmm, ceiling, algorithm)
+        return self._postprocess(keywords, raw, k), len(raw), None
 
     @property
     def parser(self):
@@ -530,8 +545,8 @@ class Reformulator:
     # ------------------------------------------------------------------ #
 
     def _slack(self, keywords: Sequence[str]) -> int:
-        """Extra paths to request so identity/duplicate removal still
-        leaves k results (and MMR has a pool to diversify over)."""
+        """Paths beyond k that filtering may drop and MMR diversifies over:
+        a ceiling for A*, an over-ask for Algorithm 2, brute force, rank."""
         slack = 0
         if self.config.drop_identity:
             slack += 1
@@ -546,16 +561,15 @@ class Reformulator:
     def _postprocess(
         self,
         keywords: Sequence[str],
-        raw: List[ScoredQuery],
+        raw: Iterable[ScoredQuery],
         k: int,
     ) -> List[ScoredQuery]:
+        # With diversification MMR picks the final k from all of *raw*;
+        # otherwise stop pulling from it as soon as k survive.
         original = " ".join(keywords)
         seen_texts = set()
         out: List[ScoredQuery] = []
         diversify = self.config.diversify_trade_off
-        # With diversification, keep the whole filtered pool and let MMR
-        # pick the final k; otherwise cut as soon as k survive.
-        limit = len(raw) if diversify is not None else k
         for query in raw:
             text = query.text
             if self.config.drop_identity and text == original:
@@ -569,7 +583,7 @@ class Reformulator:
                     continue
                 seen_texts.add(text)
             out.append(query)
-            if len(out) >= limit:
+            if diversify is None and len(out) >= k:
                 break
         if diversify is not None:
             from repro.core.diversify import mmr_diversify

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.candidates import CandidateState, StateKind
 from repro.core.hmm import ReformulationHMM
-from repro.core.reformulator import Reformulator, decode_topk
+from repro.core.reformulator import Reformulator
 from repro.errors import ReformulationError
 from repro.index.inverted import FieldRef
 from repro.lanes.base import Lane, LaneResult
@@ -163,9 +163,7 @@ class SchemaLane(Lane):
             frequency=pipeline.frequency,
             smoothing_lambda=pipeline.config.smoothing_lambda,
         )
-        want = k + pipeline._slack(reduced)
-        raw, _outcome = decode_topk(hmm, want, algorithm)
-        return pipeline._postprocess(reduced, raw, k)
+        return pipeline._decode(reduced, hmm, k, algorithm)[0]
 
     def _constrain(
         self, states: List[CandidateState], field: Optional[FieldRef]

@@ -33,6 +33,11 @@ The contract the oracle enforces (stated informally in
      the lex-smallest tied path out of the per-state memo (ties from
      *different* factor multisets, e.g. 0.5·0.5 == 0.25·1.0, do this;
      ties with identical factor sequences — twin states — cannot);
+   * streamed A* (``AStarSearch.ranked`` with a ceiling of
+     ``k + STREAM_SLACK`` completions, read up to k) vs the production
+     decoder asked for that ceiling: bit-identical to its first k
+     paths, **always** (the hold/release rule of
+     ``repro/core/astar.py`` releases a prefix of the sorted pops);
    * ``astar*`` lanes vs anything outside their own algorithm and
      space: exact up to floating-point near-ties.  The admissible
      heuristic is accumulated *backward*, a different association order
@@ -54,6 +59,7 @@ Run it standalone against freshly generated random instances with::
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -61,7 +67,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.astar import backward_heuristic
+from repro.core.astar import AStarSearch, backward_heuristic
 from repro.core.candidates import CandidateState, StateKind
 from repro.core.enumeration import brute_force_topk
 from repro.core.hmm import ReformulationHMM
@@ -72,6 +78,10 @@ from repro.errors import ReformulationError
 #: Relative tolerance for cross-space (linear vs log) comparisons: paths
 #: may only diverge where scores collide within this window.
 NEAR_TIE_REL = 1e-9
+
+#: Completions beyond k that the streamed A* lane may pop, as the
+#: serving pipeline's ``_slack`` lets it.
+STREAM_SLACK = 3
 
 
 # --------------------------------------------------------------------------- #
@@ -197,9 +207,18 @@ def _reference(fn, log_space: bool):
     return lambda hmm, k: fn(hmm, k, log_space=log_space)
 
 
+def _streamed(log_space: bool):
+    def decode(hmm: ReformulationHMM, k: int) -> List[ScoredQuery]:
+        ranked = AStarSearch(hmm, log_space).ranked(k + STREAM_SLACK)
+        return list(itertools.islice(ranked, k))
+
+    return decode
+
+
 def _build_lanes() -> Tuple[Lane, ...]:
     """Production and reference lane of every algorithm, both spaces,
-    plus the brute-force oracle (whose production lane *is* the oracle)."""
+    the streamed A* the serving pipeline reads, and the brute-force
+    oracle (whose production lane *is* the oracle)."""
     references = {
         "viterbi_topk": reference_viterbi_topk,
         "astar": reference_astar_topk,
@@ -215,6 +234,9 @@ def _build_lanes() -> Tuple[Lane, ...]:
         if base in references:
             lanes.append(Lane(f"{algorithm}/reference", space, family,
                               _reference(references[base], log_space)))
+        if base == "astar":
+            lanes.append(Lane(f"{algorithm}/streamed", space, family,
+                              _streamed(log_space)))
     return tuple(lanes)
 
 
@@ -277,6 +299,17 @@ def check_topk_equivalence(hmm: ReformulationHMM, k: int) -> None:
             f"{algorithm}: reference loop and production decoder diverge\n"
             f"  reference:  {ref}\n  production: {prod}"
         )
+
+    # Streamed A* vs the production decoder at the stream's ceiling:
+    # bit-identical, always.
+    for lane in TOPK_LANES:
+        if lane.name.endswith("/streamed"):
+            algorithm = lane.name.split("/")[0]
+            ceiling = decode_topk(hmm, k + STREAM_SLACK, algorithm)[0]
+            assert signature(results[lane.name]) == signature(ceiling[:k]), (
+                f"{algorithm}: streamed decode is not a prefix of the "
+                f"decode at its ceiling"
+            )
 
     # Linear DP vs the exhaustive oracle: both select on the same
     # forward-accumulated products, so score sequences are bit-exact,

@@ -207,3 +207,35 @@ def hmm_instances(
         emissions=emissions,
         transitions=transitions,
     )
+
+
+@st.composite
+def labelled_instances(draw, vocabulary=("a", "b", "c")):
+    """``(keywords, hmm)``: an :func:`hmm_instances` HMM whose states are
+    relabelled from a tiny vocabulary (plus void states), with query
+    keywords from the same vocabulary — so identity paths, paths that
+    repeat a term and paths with equal text all occur."""
+    hmm = draw(hmm_instances())
+    labels = st.sampled_from(vocabulary + (None,))
+    states = [
+        [
+            CandidateState(
+                kind=StateKind.SIMILAR if text is not None else StateKind.VOID,
+                node_id=state.node_id if text is not None else None,
+                text=text,
+                sim=1.0,
+            )
+            for state, text in ((s, draw(labels)) for s in position)
+        ]
+        for position in hmm.states
+    ]
+    keywords = tuple(
+        draw(st.sampled_from(vocabulary)) for _ in range(hmm.length)
+    )
+    return keywords, ReformulationHMM(
+        query=keywords,
+        states=states,
+        pi=hmm.pi,
+        emissions=hmm.emissions,
+        transitions=hmm.transitions,
+    )

@@ -4,7 +4,9 @@ Hypothesis drives :mod:`tests.decode_oracle` with adversarial instances
 (exact ties, zeros, magnitude skew, single-candidate positions,
 1-keyword queries, k beyond the lattice) — over 500 generated instances
 per run, derandomized so CI is deterministic.  The explicit constructions
-at the bottom pin the tie-break contract on hand-built tied scores.
+at the bottom pin the tie-break contract on hand-built tied scores, and
+``TestStreamedPipeline`` checks that the serving pipeline's streamed A*
+answers exactly as a fixed-size decode of its ceiling would.
 """
 
 import numpy as np
@@ -12,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.astar import AStarSearch, astar_topk
 from repro.core.candidates import CandidateState, StateKind
 from repro.core.enumeration import brute_force_topk
 from repro.core.hmm import ReformulationHMM
-from repro.core.reformulator import ALGORITHMS
+from repro.core.reformulator import ALGORITHMS, Reformulator, ReformulatorConfig
 
 from tests.decode_oracle import (
     TOPK_LANES,
@@ -24,7 +27,12 @@ from tests.decode_oracle import (
     run_topk_lanes,
     signature,
 )
-from tests.strategies import hmm_instances, hmms, topk_values
+from tests.strategies import (
+    hmm_instances,
+    hmms,
+    labelled_instances,
+    topk_values,
+)
 
 
 class TestDifferentialOracle:
@@ -217,3 +225,71 @@ class TestDeliberateTies:
                     assert lanes[f"{algorithm}/{impl}"].space == space
         assert set(TWINNED) == set(ALGORITHMS) - {"brute_force"}
         assert {name.split("/")[0] for name in lanes} == set(ALGORITHMS)
+
+
+@pytest.fixture(scope="module")
+def pipelines(toy_graph):
+    """One pipeline per MMR setting; decoding reads only its config."""
+    return {
+        trade_off: Reformulator(toy_graph, ReformulatorConfig(
+            diversify_trade_off=trade_off, enable_plan_cache=False,
+        ))
+        for trade_off in (None, 0.5)
+    }
+
+
+def fixed_size_answer(pipeline, keywords, hmm, k, algorithm):
+    """The answer of a decode of all ``k + _slack`` paths up front."""
+    ceiling = k + pipeline._slack(keywords)
+    decoded = astar_topk(hmm, ceiling, log_space=algorithm == "astar_log")
+    return pipeline._postprocess(keywords, decoded.queries, k)
+
+
+# A later pop ties an earlier complete path's score exactly and has the
+# smaller path: its ancestor's priority sat an ulp *below* that score.
+ULP_TIE = build_hmm(
+    pi=[0.35, 0.35],
+    emissions=[[0.1, 0.2], [0.35, 0.2]],
+    transitions=[[[1.0 / 3.0, 0.7], [0.9, 0.35]]],
+)
+# A later pop scores an ulp *above* an earlier complete path, while its
+# ancestor's priority equalled that path's score.
+ULP_ABOVE = build_hmm(
+    pi=[0.3, 0.35],
+    emissions=[[0.2, 0.3], [0.6, 1.0 / 3.0]],
+    transitions=[[[0.35, 0.3], [0.2, 0.35]]],
+)
+
+
+class TestStreamedPipeline:
+    """The pipeline pulls A* completions only until k survive; its
+    answer must equal ``_postprocess(astar_topk(hmm, k + _slack), k)``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        labelled_instances(),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["astar", "astar_log"]),
+        st.sampled_from([None, 0.5]),
+    )
+    def test_streamed_answer_equals_fixed_size_decode(
+        self, pipelines, instance, k, algorithm, trade_off
+    ):
+        keywords, hmm = instance
+        pipeline = pipelines[trade_off]
+        got, n_raw, search = pipeline._decode(keywords, hmm, k, algorithm)
+        assert got == fixed_size_answer(pipeline, keywords, hmm, k, algorithm)
+        assert n_raw == search.completed <= k + pipeline._slack(keywords)
+
+    @pytest.mark.parametrize("hmm", [ULP_TIE, ULP_ABOVE], ids=["tie", "above"])
+    def test_pop_order_inversions_are_released_in_order(self, pipelines, hmm):
+        """Both instances pop a complete path before one that sorts
+        ahead of it; the released order must still be the contract's."""
+        search = AStarSearch(hmm)
+        pops = [(-q.score, q.state_path) for q in search.completions()]
+        assert pops != sorted(pops)
+        pipeline = pipelines[None]
+        keywords = list(hmm.query)
+        for k in range(1, hmm.search_space + 1):
+            got = pipeline._decode(keywords, hmm, k, "astar")[0]
+            assert got == fixed_size_answer(pipeline, keywords, hmm, k, "astar")

@@ -125,8 +125,12 @@ class TestAggregatedMetrics:
                 pool.port, "reformulate", ["probabilistic", "query"], k=3
             )
             assert response.status == 200
-        # per-worker view exists on whichever worker answers
-        text = _fresh_request(pool.port, "metrics").text
+        # per-worker view: read it on the keep-alive connection that just
+        # served a /reformulate, so the worker answering has served one
+        with ServerClient(port=pool.port, timeout_s=10.0) as client:
+            response = client.reformulate(["probabilistic", "query"], k=3)
+            assert response.status == 200
+            text = client.metrics().text
         assert "repro_server_requests_total" in text
         # the aggregate merges all spooled snapshots; totals converge to
         # at least the requests this test issued (spool flushes lag by
