@@ -1,4 +1,4 @@
-"""Bench: the HTTP serving daemon vs the in-process batched pipeline.
+"""Bench: the HTTP serving daemon vs the in-process pipeline.
 
 The daemon (:mod:`repro.server`) adds a network hop, JSON codec, and
 admission control on top of :meth:`LiveReformulator.route`.
@@ -6,11 +6,12 @@ This bench quantifies that tax and proves the overload story.
 
 Acceptance bars (asserted below):
 
-* **QPS within 20%** of an in-process batched ``route`` at concurrency
-  8 — 8 closed-loop keep-alive clients vs an 8-worker batch over the
-  same distinct query set, both lanes decode-bound (plan cache off,
-  result LRUs dropped before timing) so the comparison measures the
-  serving tax on real decodes, not HTTP overhead against a cache hit;
+* **QPS within 20%** of an in-process ``route`` batch — 8 closed-loop
+  keep-alive clients vs one batch (answered on the calling thread)
+  over the same distinct query set, both lanes decode-bound (plan
+  cache off, result LRUs dropped before timing) so the comparison
+  measures the serving tax on real decodes, not HTTP overhead against
+  a cache hit;
 * **zero dropped requests at 2x capacity** — every request against a
   deliberately undersized daemon resolves to 200 or a clean 429 (with
   ``Retry-After``), nothing hangs or errors, and the 429s equal
@@ -157,8 +158,8 @@ def test_server_qps_within_20pct_of_inprocess(benchmark, small_context):
             # scheduler noise — the bar compares capability, not one
             # lucky or unlucky scheduling of 16 threads.
             requests = [Request(query, K, "hmm") for query in queries]
-            live.route(requests, workers=CONCURRENCY)
-            server.live.route(requests, workers=CONCURRENCY)
+            live.route(requests)
+            server.live.route(requests)
             inprocess_times, server_times = [], []
             expected = responses = None
             for _ in range(ROUNDS):
@@ -166,7 +167,7 @@ def test_server_qps_within_20pct_of_inprocess(benchmark, small_context):
                 start = time.perf_counter()
                 expected = [
                     result.suggestions
-                    for result in live.route(requests, workers=CONCURRENCY)
+                    for result in live.route(requests)
                 ]
                 inprocess_times.append(time.perf_counter() - start)
 
@@ -358,7 +359,7 @@ def run_smoke(metrics_out: str, scale: str = "small") -> int:
                     == _signature(direct.suggestions),
                 )
 
-                batch = client.reformulate_batch(queries, k=K, workers=2)
+                batch = client.batch(queries, k=K)
                 check(
                     "batch 200 with all entries",
                     batch.status == 200

@@ -12,7 +12,7 @@ One entry point with subcommands covering the full lifecycle::
     python -m repro.cli store migrate --src relations.json --dest store/
     python -m repro.cli store info --store store/
     python -m repro.cli reformulate --data corpus/ --relations store/ probabilistic query
-    python -m repro.cli reformulate --data corpus/ --batch queries.txt --workers 4
+    python -m repro.cli reformulate --data corpus/ --batch queries.txt
     python -m repro.cli explain --data corpus/ probabilistic query
     python -m repro.cli --verbose precompute --data corpus/ --out store/ --trace
     python -m repro.cli stats --format prometheus
@@ -57,6 +57,12 @@ from repro.storage.tuplegraph import TupleGraph
 # "__main__", which would fall outside the "repro" logger that main()
 # attaches the diagnostics handler to.
 logger = logging.getLogger("repro.cli")
+
+#: ``--relations`` help; only v3 stores are served (v1/v2 raise).
+_RELATIONS_HELP = (
+    "precomputed v3 term-relation store directory to serve from "
+    "(convert v1/v2 stores with `repro store migrate`)"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,12 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     reformulate.add_argument("--candidates", type=int, default=15)
     reformulate.add_argument(
         "--batch", default=None, metavar="FILE",
-        help="serve every query in FILE (one per line) through the "
-             "batched fast path instead of the positional keywords",
-    )
-    reformulate.add_argument(
-        "--workers", type=int, default=1,
-        help="threads fanning batched decode (only with --batch)",
+        help="reformulate every query in FILE (one per line) instead "
+             "of the positional keywords",
     )
     reformulate.add_argument(
         "--no-plan-cache", action="store_true",
@@ -124,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reformulate.add_argument(
         "--relations", default=None,
-        help="precomputed term-relation store to serve from "
-             "(v1 JSON file or v2 shard directory)",
+        help=_RELATIONS_HELP,
     )
     reformulate.add_argument(
         "--trace", action="store_true",
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--candidates", type=int, default=15)
     explain.add_argument(
         "--relations", default=None,
-        help="precomputed term-relation store to serve from",
+        help=_RELATIONS_HELP,
     )
 
     similar = sub.add_parser("similar", help="similar terms of one keyword")
@@ -272,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--relations", default=None,
-        help="precomputed term-relation store to serve from "
-             "(v1 JSON file, v2 shard directory, or v3 binary directory)",
+        help=_RELATIONS_HELP,
     )
     serve.add_argument(
         "--workers", type=int, default=0,
@@ -394,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--candidates", type=int, default=15)
     trace.add_argument(
         "--relations", default=None,
-        help="precomputed term-relation store for --explain",
+        help="precomputed v3 term-relation store directory for "
+             "--explain (convert v1/v2 stores with `repro store migrate`)",
     )
 
     store = sub.add_parser("store", help="inspect or migrate relation stores")
@@ -508,9 +509,9 @@ def cmd_reformulate(args, out) -> int:
     """``reformulate``: print top-k substitutive queries.
 
     With ``--batch FILE`` every line of FILE is one query.  Either way
-    the queries go through one :meth:`LaneRouter.route` call (a batch
-    of two or more takes the lane's shared-plan path: plan warmup +
-    optional thread fan-out) and results are printed per query.
+    the queries go through one :meth:`LaneRouter.route` call, which
+    answers each the way it answers a single query, and results are
+    printed per query.
     """
     if bool(args.batch) == bool(args.keywords):
         raise ReproError(
@@ -548,7 +549,7 @@ def cmd_reformulate(args, out) -> int:
             )
             for line in lines
         ]
-        results = router.route(requests, workers=args.workers)
+        results = router.route(requests)
         for request, result in zip(requests, results):
             print(f"input: {' | '.join(request.keywords)}", file=out)
             print_result(result)

@@ -24,11 +24,11 @@ experimental arms:
 
 from __future__ import annotations
 
-import contextvars
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro import obs
 from repro.core.astar import AStarOutcome, AStarSearch, astar_topk
@@ -51,6 +51,9 @@ from repro.graph.tat import TATGraph
 from repro.index.analyzer import Analyzer
 from repro.index.inverted import InvertedIndex
 from repro.storage.database import Database
+
+if TYPE_CHECKING:
+    from repro.serving.plan_cache import TermPlan
 
 METHODS = ("tat", "cooccurrence", "rank")
 #: ``*_log`` variants decode in log space (sums over matrices logged
@@ -241,6 +244,20 @@ class Reformulator:
             smoothing_lambda=self.config.smoothing_lambda,
         )
 
+    def candidate_states(
+        self, keywords: Sequence[str]
+    ) -> Tuple[Optional[List["TermPlan"]], List[List[CandidateState]]]:
+        """The term plans and per-position candidate lists ``L(q_i)``
+        that the decode of *keywords* reads.
+
+        With the plan cache on, both come from its term layer; without
+        it the lists are built fresh and the plans are ``None``.
+        """
+        if self.plan_cache is not None:
+            plans = [self.plan_cache.term_plan(kw) for kw in keywords]
+            return plans, [plan.state_list for plan in plans]
+        return None, self.candidates.build(list(keywords))
+
     def reformulate(
         self,
         keywords: Sequence[str],
@@ -281,90 +298,6 @@ class Reformulator:
                 "End-to-end reformulate latency",
             ).observe(time.perf_counter() - start)
         return out
-
-    def reformulate_many(
-        self,
-        queries: Sequence[Sequence[str]],
-        k: int = 10,
-        algorithm: str = "astar",
-        workers: int = 1,
-    ) -> List[List[ScoredQuery]]:
-        """Batched reformulation over a query set (serving fast path).
-
-        Three batch-level optimizations on top of per-query serving:
-
-        * **query dedup** — textually identical queries are decoded once
-          and the result is fanned back to every occurrence;
-        * **shared-term warmup** — every distinct term (and adjacent
-          term pair) across the batch gets its plan-cache entry built
-          exactly once, before any decode starts;
-        * **decode fan-out** — with ``workers > 1`` the per-query decode
-          runs on a thread pool.  The warmed plan cache makes the fanned
-          work read-only, so this is safe; without a plan cache the
-          batch falls back to sequential decode (the live extractors'
-          internal caches are not thread-safe).
-
-        Returns one suggestion list per input query, aligned with
-        *queries*.  Results are identical to calling
-        :meth:`reformulate` per query.
-        """
-        query_tuples = [tuple(q) for q in queries]
-        unique = list(dict.fromkeys(query_tuples))
-        enabled = obs.is_enabled()
-        start = time.perf_counter() if enabled else 0.0
-        with obs.span(
-            "reformulate_many",
-            queries=len(query_tuples),
-            unique=len(unique),
-            workers=workers,
-        ) as root:
-            if self.plan_cache is not None:
-                with obs.span("plan_warm") as sp:
-                    n_terms = self.plan_cache.warm(unique)
-                    sp.set_attribute("distinct_terms", n_terms)
-            else:
-                workers = 1
-
-            def solve(query: Tuple[str, ...]) -> List[ScoredQuery]:
-                return self.reformulate(list(query), k=k, algorithm=algorithm)
-
-            if workers > 1 and len(unique) > 1:
-                # Pool threads start with an *empty* contextvars state,
-                # so copy the submitting context here — on this thread,
-                # before the fan-out — one copy per task (a single
-                # Context cannot run twice concurrently).  Per-query
-                # spans then attach to this batch's open span tree and
-                # trace annotations land on the request's TraceContext
-                # instead of vanishing.
-                contexts = [contextvars.copy_context() for _ in unique]
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(
-                        lambda task: task[0].run(solve, task[1]),
-                        zip(contexts, unique),
-                    ))
-            else:
-                results = [solve(query) for query in unique]
-            root.set_attribute("n_results", len(results))
-        by_query = dict(zip(unique, results))
-        if enabled:
-            registry = obs.registry()
-            registry.counter(
-                "repro_batch_requests_total",
-                "reformulate_many invocations",
-            ).inc()
-            registry.counter(
-                "repro_batch_queries_total",
-                "Queries received through the batch API",
-            ).inc(len(query_tuples))
-            registry.counter(
-                "repro_batch_unique_queries_total",
-                "Distinct queries decoded by the batch API",
-            ).inc(len(unique))
-            registry.histogram(
-                "repro_batch_seconds",
-                "End-to-end reformulate_many latency",
-            ).observe(time.perf_counter() - start)
-        return [list(by_query[query]) for query in query_tuples]
 
     def explain(
         self,
@@ -447,13 +380,9 @@ class Reformulator:
             )
         enabled = obs.is_enabled()
         with span_fn("candidates", n=self.config.n_candidates) as sp:
-            if self.plan_cache is not None:
-                plans = [self.plan_cache.term_plan(kw) for kw in keywords]
-                states = [plan.state_list for plan in plans]
+            plans, states = self.candidate_states(keywords)
+            if plans is not None:
                 sp.set_attribute("plan_cache", True)
-            else:
-                plans = None
-                states = self.candidates.build(keywords)
             sizes = [len(lst) for lst in states]
             sp.set_attribute("sizes", sizes)
         if enabled:

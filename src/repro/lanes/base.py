@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.reformulator import ALGORITHMS
 from repro.core.scoring import ScoredQuery
@@ -138,8 +138,7 @@ class Lane(abc.ABC):
     """One reformulation strategy.
 
     Subclasses set :attr:`name` (the routing key) and implement
-    :meth:`reformulate`; a lane with a shared-plan batch path also
-    overrides :meth:`reformulate_batch`.
+    :meth:`reformulate`.
     """
 
     #: Routing key; must be unique within a router.
@@ -160,26 +159,6 @@ class Lane(abc.ABC):
         out.  Lanes that run one decode may ignore it.
         """
 
-    def reformulate_batch(
-        self,
-        queries: Sequence[Sequence[str]],
-        k: int = 10,
-        budget: Optional[float] = None,
-        algorithm: str = "astar",
-        workers: int = 1,
-    ) -> List[LaneResult]:
-        """Batched variant; the default just loops :meth:`reformulate`.
-
-        The router calls it for groups of two or more requests; the hmm
-        lane overrides it with the shared-plan fast path
-        (``Reformulator.reformulate_many``).
-        """
-        del workers  # the generic loop is sequential
-        return [
-            self.reformulate(query, k=k, budget=budget, algorithm=algorithm)
-            for query in queries
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
 
@@ -197,19 +176,22 @@ def query_cohesion(
     no tuple path of bounded length connects the two terms; a position
     holding an unknown (unsubstitutable) term counts as 0 outright.
     Single-keyword queries are trivially cohesive (1.0); no decoded
-    suggestion at all is maximally incohesive (0.0).
+    suggestion at all is maximally incohesive (0.0).  The chosen terms
+    are read from the candidate lists the decode used
+    (:meth:`~repro.core.reformulator.Reformulator.candidate_states`),
+    so no second HMM is assembled.
     """
     if best is None:
         return 0.0
     keywords = list(keywords)
     if len(keywords) < 2:
         return 1.0
-    hmm = pipeline.build_hmm(keywords)
+    _plans, states = pipeline.candidate_states(keywords)
     worst: Optional[float] = None
     path = best.state_path
     for i in range(1, len(path)):
-        a = hmm.states[i - 1][path[i - 1]]
-        b = hmm.states[i][path[i]]
+        a = states[i - 1][path[i - 1]]
+        b = states[i][path[i]]
         if a.is_void or b.is_void:
             continue  # deletion carries no adjacency constraint
         if a.node_id is None or b.node_id is None:

@@ -13,10 +13,9 @@ relaxation fallback.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.reformulator import Reformulator
-from repro.core.scoring import ScoredQuery
 from repro.lanes.base import Lane, LaneResult, query_cohesion
 
 
@@ -38,41 +37,10 @@ class HmmLane(Lane):
         """Top-k substitutions, bit-identical to the bare pipeline."""
         del budget  # one decode; the server's deadline machinery governs it
         keywords = list(query)
-        suggestions = self.pipeline.reformulate(
-            keywords, k=k, algorithm=algorithm
+        suggestions = tuple(
+            self.pipeline.reformulate(keywords, k=k, algorithm=algorithm)
         )
-        return self.result_for(keywords, suggestions)
-
-    def reformulate_batch(
-        self,
-        queries: Sequence[Sequence[str]],
-        k: int = 10,
-        budget: Optional[float] = None,
-        algorithm: str = "astar",
-        workers: int = 1,
-    ) -> List[LaneResult]:
-        """Shared-plan batched decode (``reformulate_many`` fast path)."""
-        del budget
-        parsed = [list(query) for query in queries]
-        batches = self.pipeline.reformulate_many(
-            parsed, k=k, algorithm=algorithm, workers=workers
-        )
-        return [
-            self.result_for(keywords, suggestions)
-            for keywords, suggestions in zip(parsed, batches)
-        ]
-
-    def result_for(
-        self, keywords: List[str], suggestions: Sequence[ScoredQuery]
-    ) -> LaneResult:
-        """Wrap already-decoded suggestions (cohesion measured here).
-
-        Used by both entry points above, so every hmm-lane answer —
-        single, batched, cached — carries the same cohesion measurement.
-        """
-        suggestions = tuple(suggestions)
         best = suggestions[0] if suggestions else None
-        cohesion = query_cohesion(self.pipeline, keywords, best)
         provenance: Tuple[Dict[str, Any], ...] = tuple(
             {"lane": self.name, "relaxed": False} for _ in suggestions
         )
@@ -81,6 +49,6 @@ class HmmLane(Lane):
             suggestions=suggestions,
             provenance=provenance,
             relaxed=False,
-            cohesion=cohesion,
+            cohesion=query_cohesion(self.pipeline, keywords, best),
             metadata={"algorithm_family": "hmm"},
         )

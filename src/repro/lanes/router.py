@@ -1,8 +1,8 @@
 """Lane registration, request routing, and the relaxation fallback chain.
 
 The :class:`LaneRouter` is the single entry point the serving stack uses
-to reach any reformulation strategy.  It is batch-first — a single query
-is a batch of one::
+to reach any reformulation strategy.  It takes a list of requests and
+answers each one in turn — a single query is a list of one::
 
     router = build_router(pipeline, RouterConfig(fallback_lane="relaxation"))
     request = Request(["probabilistic", "xml"], k=5, lane="hmm")
@@ -167,80 +167,50 @@ class LaneRouter:
     # routing
     # ------------------------------------------------------------------ #
 
-    def route(
-        self, requests: Sequence[Request], workers: int = 1
-    ) -> List[LaneResult]:
-        """Run a batch of requests through their lanes, results aligned.
+    def route(self, requests: Sequence[Request]) -> List[LaneResult]:
+        """Run each request through its lane, results aligned.
 
-        Requests sharing ``(lane, k, algorithm, budget)`` form a group.
-        A group of one goes through :meth:`Lane.reformulate`, a larger
-        one through :meth:`Lane.reformulate_batch` (with *workers*), so
-        a single query costs no batch machinery.  Each entry then takes
-        the fallback chain on its own, and routing provenance
-        (``requested`` / ``fallback_from``) is stamped on every result.
+        Every lane name is resolved before the first request runs.  Each
+        entry then takes the fallback chain on its own, and routing
+        provenance (``requested`` / ``fallback_from``) is stamped on
+        every result.
         """
-        groups: Dict[tuple, List[int]] = {}
-        for i, request in enumerate(requests):
-            name = self.config.resolve(request.lane)
-            key = (name, request.k, request.algorithm, request.budget)
-            groups.setdefault(key, []).append(i)
-        results: List[Optional[LaneResult]] = [None] * len(requests)
-        for (name, k, algorithm, budget), members in groups.items():
-            queries = [list(requests[i].keywords) for i in members]
-            target = self.lane(name)
-            start = time.monotonic()
-            if len(members) == 1:
-                solved = [target.reformulate(
-                    queries[0], k=k, budget=budget, algorithm=algorithm
-                )]
-            else:
-                solved = target.reformulate_batch(
-                    queries, k=k, budget=budget, algorithm=algorithm,
-                    workers=workers,
-                )
-            self._record(name, time.monotonic() - start, len(members))
-            for i, query, result in zip(members, queries, solved):
-                result = self._maybe_fallback(
-                    name, result, query, k, budget, algorithm
-                )
-                if result.relaxed and obs.is_enabled():
-                    obs.registry().counter(
-                        "repro_lane_relaxed_total",
-                        "Responses containing relaxed suggestions, "
-                        "by serving lane",
-                        lane=result.lane,
-                    ).inc()
-                results[i] = result
+        names = [self.config.resolve(request.lane) for request in requests]
+        results: List[LaneResult] = []
+        for name, request in zip(names, requests):
+            result = self._maybe_fallback(
+                name, self._timed(name, request), request
+            )
+            if result.relaxed and obs.is_enabled():
+                obs.registry().counter(
+                    "repro_lane_relaxed_total",
+                    "Responses containing relaxed suggestions, "
+                    "by serving lane",
+                    lane=result.lane,
+                ).inc()
+            results.append(result)
         if results:
             obs.annotate_trace("lane", results[0].lane)
-        return results  # type: ignore[return-value]
+        return results
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 
-    def _timed(
-        self,
-        name: str,
-        query: Sequence[str],
-        k: int,
-        budget: Optional[float],
-        algorithm: str,
-    ) -> LaneResult:
+    def _timed(self, name: str, request: Request) -> LaneResult:
         target = self.lane(name)
         start = time.monotonic()
-        result = target.reformulate(query, k=k, budget=budget, algorithm=algorithm)
+        result = target.reformulate(
+            list(request.keywords),
+            k=request.k,
+            budget=request.budget,
+            algorithm=request.algorithm,
+        )
         self._record(name, time.monotonic() - start)
         return result
 
     def _maybe_fallback(
-        self,
-        requested: str,
-        result: LaneResult,
-        query: Sequence[str],
-        k: int,
-        budget: Optional[float],
-        algorithm: str,
+        self, requested: str, result: LaneResult, request: Request
     ) -> LaneResult:
         fallback = self.config.fallback_lane
         if (
@@ -256,11 +226,11 @@ class LaneRouter:
                     from_lane=requested,
                     to_lane=fallback,
                 ).inc()
-            chained = self._timed(fallback, query, k, budget, algorithm)
+            chained = self._timed(fallback, request)
             return chained.with_routing(requested, fallback_from=requested)
         return result.with_routing(requested)
 
-    def _record(self, name: str, elapsed: float, count: int = 1) -> None:
+    def _record(self, name: str, elapsed: float) -> None:
         if not obs.is_enabled():
             return
         registry = obs.registry()
@@ -268,7 +238,7 @@ class LaneRouter:
             "repro_lane_requests_total",
             "Reformulation requests served, by lane",
             lane=name,
-        ).inc(count)
+        ).inc()
         registry.histogram(
             "repro_lane_seconds",
             "Lane execution latency (seconds)",

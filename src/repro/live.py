@@ -373,10 +373,7 @@ class LiveReformulator:
         return self.route([Request(keywords, k, lane, algorithm, budget)])[0]
 
     def route(
-        self,
-        requests: Sequence[Request],
-        workers: int = 1,
-        degrade: bool = False,
+        self, requests: Sequence[Request], degrade: bool = False
     ) -> List[LaneResult]:
         """Answer a batch of requests through the router, results aligned.
 
@@ -384,16 +381,18 @@ class LiveReformulator:
         keyed on ``(keywords, k, algorithm, lane tag)`` — the tag is
         :meth:`RouterConfig.cache_tag`, so a lane under an active
         fallback chain never shares entries with the same lane running
-        chain-free.  Resident entries at the current pipeline version are
-        served from memory; the misses go through one
-        :meth:`LaneRouter.route` call (with *workers*) and are cached,
-        except answers decoded under a ``budget`` — a wall-clock
-        allowance makes the relaxation lane's output timing-dependent.
-        A batch arriving while :attr:`is_stale` cannot hit — the
-        resident entries predate the pending mutations — so it bypasses
-        the lookup (counted per request in
-        ``repro_live_result_cache_bypass_total``), triggers the rebuild,
-        and repopulates the cache at the new version.
+        chain-free.  Entries sharing ``(key, budget)`` are answered
+        together: one lookup, served from memory when resident at the
+        current pipeline version, else solved once — every distinct miss
+        goes through one :meth:`LaneRouter.route` call, also when the
+        cache is bypassed or disabled — and the answer goes to each
+        entry (a copy per duplicate).  Answers are cached except those
+        decoded under a ``budget``: a wall-clock allowance makes the
+        relaxation lane's output timing-dependent.  A batch arriving
+        while :attr:`is_stale` cannot hit — the resident entries predate
+        the pending mutations — so it bypasses the lookup (counted per
+        request in ``repro_live_result_cache_bypass_total``), triggers
+        the rebuild, and repopulates the cache at the new version.
 
         With ``degrade=True`` (the server's deadline fallback) a hit is
         served as is, marked ``degraded="cached"``, and a miss gets the
@@ -431,19 +430,24 @@ class LiveReformulator:
             router = self.router()  # may rebuild and bump the version
             pipeline, version = self._pipeline, self._version
         cache = None if stale else self.result_cache
-        results: List[Optional[LaneResult]] = [None] * len(requests)
-        misses: List[int] = []
+        groups: Dict[tuple, List[int]] = {}
         for i, key in enumerate(keys):
+            groups.setdefault((key, requests[i].budget), []).append(i)
+        results: List[Optional[LaneResult]] = [None] * len(requests)
+        misses: List[int] = []  # the first entry of each missed group
+        for (key, _budget), members in groups.items():
             cached = None if cache is None else cache.get(key, version)
             if cached is None:
-                misses.append(i)
+                misses.append(members[0])
             else:
-                results[i] = (
+                results[members[0]] = (
                     replace(cached, degraded=DEGRADE_CACHED) if degrade
                     else cached
                 )
         if cache is not None:
-            hits = len(requests) - len(misses)
+            hits = len(requests) - sum(
+                len(groups[keys[i], requests[i].budget]) for i in misses
+            )
             obs.annotate_trace(
                 "result_cache",
                 ("hit" if hits else "miss") if len(requests) == 1
@@ -459,12 +463,15 @@ class LiveReformulator:
                     degraded=DEGRADE_VITERBI,
                 )
         elif misses:
-            solved = router.route([requests[i] for i in misses], workers)
+            solved = router.route([requests[i] for i in misses])
             store = self.result_cache
             for i, result in zip(misses, solved):
                 results[i] = result
                 if store is not None and requests[i].budget is None:
                     store.put(keys[i], version, result)
+        for first, *duplicates in groups.values():
+            for i in duplicates:
+                results[i] = replace(results[first])
         if results:
             obs.annotate_trace("lane", results[0].lane)
         return results  # type: ignore[return-value]

@@ -18,10 +18,9 @@ Why contextvars instead of ``threading.local``:
   is preserved — each ``Thread`` begins in a copy of the *spawning*
   context, and the stack var is reset per-span by token);
 * ``contextvars.copy_context()`` lets a thread-pool task *inherit* the
-  submitting request's open spans (a batch routed to the hmm lane runs
-  ``Reformulator.reformulate_many``, which starts each task under a
-  copied context, so per-query decode spans attach to the shared batch
-  root instead of becoming orphan roots);
+  submitting request's open spans when the submitter opts in (running
+  each task under a copied context), so its spans attach to the
+  request's root instead of becoming orphan roots;
 * ``os.fork`` copies the whole interpreter state, so a pre-fork worker
   inherits the master's trace context for free.
 

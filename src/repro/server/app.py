@@ -86,10 +86,9 @@ _KNOWN_ROUTES = _QUERY_ROUTES | {
 }
 
 #: Span names folded into the flat stage view of the access log:
-#: plan-cache assemble (candidate plans + HMM build + batch warm),
-#: decode, and response shaping.
+#: plan-cache assemble (candidate plans + HMM build), decode, and
+#: response shaping.
 _STAGE_SPAN_NAMES = {
-    "plan_warm": "assemble",
     "candidates": "assemble",
     "hmm_build": "assemble",
     "decode": "decode",
@@ -125,14 +124,6 @@ def scored_to_dict(query: ScoredQuery) -> Dict[str, Any]:
         "terms": list(query.terms),
         "state_path": list(query.state_path),
     }
-
-
-def _int_field(payload: Dict[str, Any], name: str, default: int,
-               minimum: int = 1) -> int:
-    value = payload.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise BadRequestError(f"{name} must be an integer >= {minimum}")
-    return value
 
 
 def drain_on_signals(shutdown: Callable[[], None], name: str) -> None:
@@ -371,7 +362,6 @@ class ReformulationServer:
         self,
         requests: List[Request],
         deadline: Deadline,
-        workers: int,
         route: str,
     ) -> Tuple[List[LaneResult], Optional[str]]:
         """Answer *requests* in one :meth:`LiveReformulator.route` call.
@@ -384,7 +374,7 @@ class ReformulationServer:
             deadline, self.latency, self.config.degrade_safety
         )
         start = time.perf_counter()
-        results = self.live.route(requests, workers=workers, degrade=degrade)
+        results = self.live.route(requests, degrade=degrade)
         if not degrade:
             self.latency.observe(
                 (time.perf_counter() - start) / len(requests)
@@ -430,7 +420,7 @@ class ReformulationServer:
         keywords = list(request.keywords)
         obs.annotate_trace("algorithm", request.algorithm)
         obs.annotate_trace("keywords", keywords)
-        (result,), mode = self._answer([request], deadline, 1, "/reformulate")
+        (result,), mode = self._answer([request], deadline, "/reformulate")
         return {
             "keywords": keywords,
             "k": request.k,
@@ -461,14 +451,9 @@ class ReformulationServer:
                 requests.append(Request(query, k, lane, algorithm))
             except BadRequestError as exc:
                 raise BadRequestError(f"queries[{i}]: {exc}") from None
-        workers = min(
-            _int_field(payload, "workers", 1), self.config.max_batch_workers
-        )
         obs.annotate_trace("algorithm", algorithm)
         obs.annotate_trace("keywords", [f"<batch of {len(requests)}>"])
-        results, mode = self._answer(
-            requests, deadline, workers, "/reformulate/batch"
-        )
+        results, mode = self._answer(requests, deadline, "/reformulate/batch")
         return {
             "k": k,
             "algorithm": algorithm,

@@ -186,12 +186,11 @@ class ServerClient:
             payload["lane"] = lane
         return self.request("POST", "/reformulate", payload)
 
-    def reformulate_batch(
+    def batch(
         self,
         queries: Sequence[Sequence[str]],
         k: Optional[int] = None,
         algorithm: Optional[str] = None,
-        workers: Optional[int] = None,
         deadline_ms: Optional[int] = None,
         lane: Optional[str] = None,
     ) -> ServerResponse:
@@ -203,8 +202,6 @@ class ServerClient:
             payload["k"] = k
         if algorithm is not None:
             payload["algorithm"] = algorithm
-        if workers is not None:
-            payload["workers"] = workers
         if deadline_ms is not None:
             payload["deadline_ms"] = deadline_ms
         if lane is not None:

@@ -67,8 +67,6 @@ class ServerConfig:
     #: Idle keep-alive connections are closed after this long; it also
     #: bounds how long a drain waits on an idle connection.
     keepalive_timeout_s: float = 5.0
-    #: Hard cap on ``workers`` accepted by the batch endpoint.
-    max_batch_workers: int = 8
     #: Default ``k`` when a request does not specify one.
     default_k: int = 10
     #: Build the pipeline before serving, so ``/readyz`` is green from
@@ -142,8 +140,6 @@ class ServerConfig:
             raise ServerConfigError(
                 "need 0 < retry_after_min_s <= retry_after_max_s"
             )
-        if self.max_batch_workers < 1:
-            raise ServerConfigError("max_batch_workers must be >= 1")
         if self.default_k < 1:
             raise ServerConfigError("default_k must be >= 1")
         if self.worker_index < 0:

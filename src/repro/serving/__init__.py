@@ -1,4 +1,4 @@
-"""Online serving fast path: plan cache, result LRU, batch helpers.
+"""Online serving fast path: the plan cache and the result LRU.
 
 The seed online stage rebuilt candidate lists, smoothed HMM matrices and
 the decode heuristic from scratch on every
@@ -12,11 +12,8 @@ per-term artifacts queries recombine:
 * :class:`ResultCache` — complete lane answers keyed on
   ``(keywords, k, algorithm, lane tag)`` with version-aware
   invalidation, read and written only by
-  :meth:`~repro.live.LiveReformulator.route`;
-* the batched path (``Reformulator.reformulate_many``, which the hmm
-  lane runs for any batch of two or more requests — ``/reformulate/batch``,
-  ``repro reformulate --batch``) warms the plan cache once per distinct
-  term and fans decode across a thread pool.
+  :meth:`~repro.live.LiveReformulator.route`, which also answers each
+  distinct query of a batch once (``/reformulate/batch``).
 
 All cache layers report ``repro_plan_cache_*`` / ``repro_result_cache_*``
 hit/miss/eviction counters through the gated :mod:`repro.obs` registry.

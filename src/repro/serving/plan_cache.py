@@ -35,9 +35,9 @@ All layers report hit/miss/eviction counters through the gated
 integer counters for cheap inspection via :meth:`PlanCache.stats`.
 
 Thread safety: every accessor takes one re-entrant lock, misses
-included, so a batched decode fan-out may hit the cache concurrently
-while the underlying extractors (plain-dict caches) are only ever driven
-from one thread at a time.
+included, so concurrent requests (the server's handler threads) may hit
+the cache while the underlying extractors (plain-dict caches) are only
+ever driven from one thread at a time.
 """
 
 from __future__ import annotations
@@ -279,12 +279,6 @@ class PlanCache:
     # assembly
     # ------------------------------------------------------------------ #
 
-    def states_for(self, keywords: Sequence[str]) -> List[List[CandidateState]]:
-        """Per-position candidate lists served from the term layer."""
-        if not keywords:
-            raise ReformulationError("empty query")
-        return [self.term_plan(kw).state_list for kw in keywords]
-
     def build_hmm(
         self,
         keywords: Sequence[str],
@@ -312,23 +306,6 @@ class PlanCache:
             smoothing_lambda=self.smoothing_lambda,
             log_transitions=[pair.log_smoothed for pair in pairs],
         )
-
-    def warm(self, queries: Sequence[Sequence[str]]) -> int:
-        """Pre-build plans for every distinct term and adjacent pair.
-
-        Returns the number of distinct terms touched.  Used by the batch
-        API so shared terms across a query set are resolved exactly once
-        and the subsequent decode fan-out only ever hits the cache.
-        """
-        terms = list(dict.fromkeys(t for q in queries for t in q))
-        pairs = list(dict.fromkeys(
-            (q[i - 1], q[i]) for q in queries for i in range(1, len(q))
-        ))
-        for term in terms:
-            self.term_plan(term)
-        for a, b in pairs:
-            self.pair_plan(a, b)
-        return len(terms)
 
     # ------------------------------------------------------------------ #
     # introspection

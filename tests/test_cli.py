@@ -98,8 +98,7 @@ class TestReformulate:
         )
         code, text = run([
             "reformulate", "--data", str(toy_dir),
-            "--batch", str(batch), "--workers", "2",
-            "-k", "2", "--candidates", "5",
+            "--batch", str(batch), "-k", "2", "--candidates", "5",
         ])
         assert code == 0
         assert text.count("input: probabilistic | query") == 2

@@ -34,6 +34,7 @@ from repro.lanes import (
     derive_field_vocabulary,
     query_cohesion,
 )
+from repro.live import LiveReformulator
 from repro.storage.database import Database
 
 from tests.conftest import build_toy_database, toy_schema
@@ -110,12 +111,16 @@ class TestHmmLaneBitIdentity:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_batch(self, pipeline, algorithm):
-        lane = HmmLane(pipeline)
-        routed = lane.reformulate_batch(QUERIES, k=5, algorithm=algorithm)
-        bare = pipeline.reformulate_many(
-            [list(q) for q in QUERIES], k=5, algorithm=algorithm
+        live = LiveReformulator(
+            build_toy_database(), ReformulatorConfig(n_candidates=6)
         )
-        assert [list(r.suggestions) for r in routed] == bare
+        log = QUERIES + QUERIES[:2]  # duplicates answer like the rest
+        routed = live.route(
+            [Request(q, k=5, lane="hmm", algorithm=algorithm) for q in log]
+        )
+        assert [list(r.suggestions) for r in routed] == [
+            pipeline.reformulate(q, k=5, algorithm=algorithm) for q in log
+        ]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("keywords", QUERIES, ids="-".join)
@@ -192,6 +197,85 @@ class TestQueryCohesion:
         keywords = ["skyline", "crowdsourcing"]
         best = islands.reformulate(keywords, k=1)[0]
         assert query_cohesion(islands, keywords, best) == 0.0
+
+
+class _HmmStatesView:
+    """Reference for :func:`query_cohesion`: a pipeline whose candidate
+    lists are read off a freshly built HMM's states."""
+
+    def __init__(self, pipeline: Reformulator) -> None:
+        self.pipeline = pipeline
+        self.closeness = pipeline.closeness
+
+    def candidate_states(self, keywords):
+        return None, self.pipeline.build_hmm(keywords).states
+
+
+class TestCohesionReadsCandidateLists:
+    """Cohesion reads the lists the decode used: same values as reading
+    a second HMM's states, without assembling one."""
+
+    @pytest.mark.parametrize("plan_cache", [True, False])
+    def test_values_match_hmm_states(self, monkeypatch, plan_cache):
+        import repro.lanes.hmm as hmm_module
+        import repro.lanes.relaxation as relaxation_module
+
+        config = ReformulatorConfig(
+            n_candidates=6, enable_plan_cache=plan_cache
+        )
+        measured = []
+
+        def checking(pipeline, keywords, best):
+            value = query_cohesion(pipeline, keywords, best)
+            assert value == query_cohesion(
+                _HmmStatesView(pipeline), keywords, best
+            )
+            measured.append(value)
+            return value
+
+        monkeypatch.setattr(hmm_module, "query_cohesion", checking)
+        monkeypatch.setattr(relaxation_module, "query_cohesion", checking)
+        for database, queries in (
+            (build_toy_database(), QUERIES),
+            (build_islands_database(), [
+                ["skyline", "crowdsourcing"],
+                ["skyline", "ranking", "quality"],
+                ["fusion", "zzghostzz", "label"],
+            ]),
+        ):
+            graph = TATGraph(database, InvertedIndex(database).build())
+            pipeline = Reformulator(graph, config)
+            for keywords in queries:
+                HmmLane(pipeline).reformulate(keywords, k=5)
+                RelaxationLane(pipeline).reformulate(keywords, k=5)
+        assert any(value == 0.0 for value in measured)
+        assert any(0.0 < value < 1.0 for value in measured)
+
+    @pytest.mark.parametrize("plan_cache", [True, False])
+    def test_one_assemble_per_hmm_lane_miss(self, monkeypatch, plan_cache):
+        from repro.core.hmm import ReformulationHMM
+
+        live = LiveReformulator(
+            build_toy_database(),
+            ReformulatorConfig(n_candidates=6, enable_plan_cache=plan_cache),
+        )
+        live.pipeline()
+        assembled = []
+        original = ReformulationHMM.assemble
+
+        def counting(*args, **kwargs):
+            assembled.append(kwargs.get("query"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(
+            ReformulationHMM, "assemble", staticmethod(counting)
+        )
+        for keywords in QUERIES:
+            before = len(assembled)
+            live.reformulate_lane(keywords, k=5, lane="hmm")
+            assert len(assembled) == before + 1
+        live.reformulate_lane(QUERIES[0], k=5, lane="hmm")  # a hit
+        assert len(assembled) == len(QUERIES)
 
 
 class TestRelaxationLane:

@@ -27,13 +27,10 @@ QUERY = ["probabilistic", "query"]
 OTHER = ["pattern", "mining"]
 
 
-def batch(live, queries, k, algorithm="astar", workers=1):
+def batch(live, queries, k, algorithm="astar"):
     """Suggestion lists of one batch through ``LiveReformulator.route``."""
     requests = [Request(query, k, "hmm", algorithm) for query in queries]
-    return [
-        list(result.suggestions)
-        for result in live.route(requests, workers=workers)
-    ]
+    return [list(result.suggestions) for result in live.route(requests)]
 
 
 def make_live(result_cache_size: int = 64) -> LiveReformulator:
@@ -137,6 +134,8 @@ class TestPipelineRebuildRace:
 
 
 class TestReformulateManyCacheRouting:
+    """Batches through ``LiveReformulator.route`` and its result cache."""
+
     def test_batch_populates_and_hits_the_result_cache(self):
         live = make_live()
         live.pipeline()  # build now: a stale batch would bypass the lookup
@@ -226,7 +225,7 @@ class TestReformulateManyCacheRouting:
     def test_cache_disabled_still_batches(self):
         live = make_live(result_cache_size=0)
         assert live.result_cache is None
-        results = batch(live, [QUERY, OTHER], k=3, workers=2)
+        results = batch(live, [QUERY, OTHER], k=3)
         assert len(results) == 2 and all(results)
 
     def test_concurrent_batches_share_cache_without_errors(self):

@@ -211,7 +211,7 @@ class TestThreadPoolPropagation:
     def test_copied_context_attaches_to_submitting_tree(self):
         """A pool task running under copy_context() extends the
         submitting request's open span instead of starting a new root
-        — the mechanism behind reformulate_many's fan-out tracing."""
+        — how a thread pool keeps its tasks' spans in one request tree."""
         tracer = Tracer()
         with trace_scope(TraceContext("batch-1")):
             with tracer.span("batch") as batch_span:

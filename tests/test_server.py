@@ -145,7 +145,7 @@ class TestBatch:
             ["pattern", "mining"],
             ["probabilistic", "query"],  # duplicate: dedup must not reorder
         ]
-        response = client.reformulate_batch(queries, k=2, workers=2)
+        response = client.batch(queries, k=2)
         assert response.status == 200
         payload = response.json
         assert payload["degraded"] is False
@@ -162,7 +162,6 @@ class TestBatch:
         {"queries": []},
         {"queries": "probabilistic"},
         {"queries": [["probabilistic"], []]},
-        {"queries": [["probabilistic"]], "workers": 0},
     ])
     def test_invalid_payloads_400(self, client, payload):
         response = client.request("POST", "/reformulate/batch", payload)
@@ -333,7 +332,7 @@ class TestDeadlineDegradation:
         server = _make_server()
         try:
             with ServerClient(port=server.port) as client:
-                response = client.reformulate_batch(
+                response = client.batch(
                     [["probabilistic", "query"], ["pattern", "mining"]],
                     k=2, deadline_ms=1,
                 )

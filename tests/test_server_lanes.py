@@ -105,7 +105,7 @@ class TestLaneValidation:
             server.shutdown()
 
     def test_batch_unknown_lane_400(self, client):
-        response = client.reformulate_batch([["pattern"]], lane="warp")
+        response = client.batch([["pattern"]], lane="warp")
         assert response.status == 400
 
     def test_inconsistent_lane_config_rejected(self):
@@ -153,7 +153,7 @@ class TestLaneSelection:
             assert suggestion["bindings"] == {"ann": ["authors", "name"]}
 
     def test_batch_carries_per_entry_lane(self, client):
-        response = client.reformulate_batch(
+        response = client.batch(
             [["pattern", "mining"], ["probabilistic", "query"]],
             k=2, lane="relaxation",
         )
@@ -190,7 +190,7 @@ class TestFallbackChain:
         assert payload["relaxed"] is False
 
     def test_batch_falls_back_per_entry(self, fallback_client):
-        response = fallback_client.reformulate_batch(
+        response = fallback_client.batch(
             [INCOHESIVE, COHESIVE], k=5
         )
         assert response.status == 200
@@ -421,7 +421,7 @@ class TestHttpMatchesInProcess:
             assert response.status == 200
             want = direct.reformulate_lane(query, k=3, lane=lane)
             assert self._wire(response.json) == self._entry(want)
-        response = client.reformulate_batch(QUERIES, k=3, lane=lane)
+        response = client.batch(QUERIES, k=3, lane=lane)
         assert response.status == 200
         want = direct.route([Request(q, 3, lane) for q in QUERIES])
         assert [self._wire(e) for e in response.json["results"]] == [
@@ -434,7 +434,7 @@ class TestHttpMatchesInProcess:
             response = fallback_client.reformulate(query, k=5)
             want = direct.reformulate_lane(query, k=5)
             assert self._wire(response.json) == self._entry(want)
-        response = fallback_client.reformulate_batch(
+        response = fallback_client.batch(
             [INCOHESIVE, COHESIVE], k=5, lane="relaxation"
         )
         want = direct.route(
