@@ -11,8 +11,10 @@ honest as the live primitives keep improving.  The acceptance bar for the
 rework: **>= 3x** end-to-end on a whole-vocabulary build over the
 synthetic DBLP corpus, with equivalent stored relations.
 
-Measured on the 1-core container (400-paper corpus): seed ~8.8 ms/term,
-batched ~1.8 ms/term — about 4.8x.  Numbers recorded in EXPERIMENTS.md.
+Measured on a 2-core shared host (400-paper corpus, 292 terms): seed
+~8.4 ms/term, batched ~1.0 ms/term — about 8.5x (before the offline pass
+read its similar lists and context columns as arrays: ~1.7 ms/term,
+5.0x).  Numbers recorded in EXPERIMENTS.md.
 
 Script mode (used by the CI smoke job) runs just the batched build with
 tracing enabled and dumps the observability registry as JSON::
@@ -26,10 +28,13 @@ import time
 import pytest
 
 from repro.graph.closeness import ClosenessExtractor
-from repro.graph.similarity import SimilarityExtractor
 from repro.offline import OfflinePrecomputer, TermRelationStore, _term_key
 
-from seed_reference import SeedClosenessExtractor, SeedContextualPreference
+from seed_reference import (
+    SeedClosenessExtractor,
+    SeedContextualPreference,
+    SeedSimilarityExtractor,
+)
 
 N_SIMILAR = 15
 CLOSENESS_TOP = 100
@@ -39,7 +44,7 @@ def _seed_build(graph):
     """The seed offline stage: per-term, python loops, iterative walks."""
     precomputer = OfflinePrecomputer(
         graph,
-        similarity=SimilarityExtractor(
+        similarity=SeedSimilarityExtractor(
             graph, preference=SeedContextualPreference(graph)
         ),
         closeness=SeedClosenessExtractor(graph),

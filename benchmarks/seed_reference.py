@@ -3,9 +3,11 @@
 The live primitives were vectorized and batched in the precompute rework,
 so timing "new code, batch_size=1" would understate the change.  This
 module preserves the original per-term algorithms — pure-python dict
-diffusion for the context, one iterative walk per term, dict-based BFS
-for closeness — exactly as the seed ran them, as the baseline that
-``bench_batch_precompute.py`` measures the batched pipeline against.
+diffusion for the context and a dict-assembled restart vector, one
+iterative walk per term, a per-node idf readout of the walk scores,
+dict-based BFS for closeness — exactly as the seed ran them, as the
+baseline that ``bench_batch_precompute.py`` measures the batched
+pipeline against.
 
 Only used by benchmarks; not part of the package.
 """
@@ -14,9 +16,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.graph.closeness import ClosenessExtractor, PathInfo
 from repro.graph.context import ContextEntry, ContextualPreference
 from repro.graph.nodes import NodeClass, NodeKind
+from repro.graph.similarity import SimilarityExtractor, SimilarNode
 
 
 class SeedContextualPreference(ContextualPreference):
@@ -75,6 +80,55 @@ class SeedContextualPreference(ContextualPreference):
             entries.sort(key=lambda e: (-e.weight, e.node_id))
             kept.extend(entries[: self.top_per_field])
         return kept
+
+    def preference_arrays(self, node_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The seed's restart vector, assembled as a dict per entry.
+
+        Overrides the method both ``preference_weights`` (the per-term
+        walk) and ``preference_matrix`` read, so every seed context goes
+        through the loops above.
+        """
+        entries = self.context_entries(node_id)
+        weights: Dict[int, float] = {}
+        for entry in entries:
+            weights[entry.node_id] = weights.get(entry.node_id, 0.0) + entry.weight
+        total = sum(weights.values())
+        if not entries or total <= 0:
+            weights = {node_id: 1.0}
+        elif self.include_self > 0:
+            scale = (1.0 - self.include_self) / total
+            weights = {nid: w * scale for nid, w in weights.items()}
+            weights[node_id] = weights.get(node_id, 0.0) + self.include_self
+        return (
+            np.fromiter(weights.keys(), dtype=np.int64, count=len(weights)),
+            np.fromiter(weights.values(), dtype=np.float64, count=len(weights)),
+        )
+
+
+class SeedSimilarityExtractor(SimilarityExtractor):
+    """The seed's Algorithm 1 readout: one idf lookup per class member."""
+
+    def similar_nodes(self, node_id: int, top_n: int = 10) -> List[SimilarNode]:
+        scores = self.walk_scores(node_id)
+        candidates = [
+            SimilarNode(other, self._seed_readout(other, float(scores[other])))
+            for other in self.graph.same_class_ids(node_id)
+            if other != node_id and scores[other] > 0.0
+        ]
+        candidates.sort(key=lambda s: (-s.score, s.node_id))
+        return candidates[:top_n]
+
+    def similarity(self, node_a: int, node_b: int) -> float:
+        scores = self.walk_scores(node_a)
+        return self._seed_readout(node_b, float(scores[node_b]))
+
+    def _seed_readout(self, node_id: int, score: float) -> float:
+        if not self.idf_readout or score <= 0.0:
+            return score
+        node = self.graph.node(node_id)
+        if node.text is None:
+            return score
+        return score * self.graph.index.idf(node.payload)
 
 
 class SeedClosenessExtractor(ClosenessExtractor):

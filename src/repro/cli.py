@@ -473,7 +473,7 @@ def cmd_describe(args, out) -> int:
 
 
 def _build_reformulator(args, database: Database) -> Reformulator:
-    """Shared pipeline construction for reformulate/explain."""
+    """Pipeline construction for ``explain`` and ``trace --explain``."""
     if args.relations:
         # A layered store's journal carries rows the base CSVs don't
         # have; replay it so the graph matches the store's chain tip
@@ -509,18 +509,35 @@ def cmd_reformulate(args, out) -> int:
     """``reformulate``: print top-k substitutive queries.
 
     With ``--batch FILE`` every line of FILE is one query.  Either way
-    the queries go through one :meth:`LaneRouter.route` call, which
-    answers each the way it answers a single query, and results are
-    printed per query.
+    the queries go through one :meth:`LiveReformulator.route` call —
+    the request path ``serve`` answers with — which answers each
+    distinct query once, the way it answers a single query, and results
+    are printed per query.
     """
     if bool(args.batch) == bool(args.keywords):
         raise ReproError(
             "provide either positional keywords or --batch FILE (not both)"
         )
-    reformulator = _build_reformulator(args, _load(args))
-    from repro.lanes import Request, build_router
+    from repro.lanes import Request
+    from repro.live import LiveReformulator
 
-    router = build_router(reformulator)
+    live = LiveReformulator(
+        _load(args),
+        ReformulatorConfig(
+            method=args.method,
+            n_candidates=args.candidates,
+            enable_plan_cache=not args.no_plan_cache,
+        ),
+        relations=args.relations,
+    )
+    # A layered store's journal carries rows the base CSVs don't have;
+    # replay it so the graph matches the store's chain tip.
+    replayed = live.sync_ingest()
+    if replayed:
+        logger.info(
+            "replayed %d delta layer(s) from %s", replayed, args.relations
+        )
+    reformulator = live.pipeline()
 
     def print_result(result) -> None:
         for suggestion, prov in zip(result.suggestions, result.provenance):
@@ -549,7 +566,7 @@ def cmd_reformulate(args, out) -> int:
             )
             for line in lines
         ]
-        results = router.route(requests)
+        results = live.route(requests)
         for request, result in zip(requests, results):
             print(f"input: {' | '.join(request.keywords)}", file=out)
             print_result(result)

@@ -175,7 +175,7 @@ class ClosenessExtractor:
             if not neighbors.size:
                 break
             level_mass = np.bincount(neighbors, weights=contrib, minlength=n)
-            new_ids = np.unique(neighbors)
+            new_ids = np.flatnonzero(np.bincount(neighbors, minlength=n))
             visited[new_ids] = True
             levels.append((new_ids, depth, level_mass[new_ids]))
             frontier_ids = new_ids
@@ -337,7 +337,7 @@ class ClosenessExtractor:
             slot = np.repeat(
                 starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
             ) + np.arange(nnz)
-            neighbors = np.unique(indices[slot])
+            neighbors = np.flatnonzero(np.bincount(indices[slot], minlength=n))
             neighbors = neighbors[~seen[neighbors]]
             seen[neighbors] = True
             frontier = neighbors

@@ -101,14 +101,25 @@ class ContextualPreference:
         self.top_per_field = top_per_field
         self.include_self = include_self
         self.frontier_cap = frontier_cap
+        self._tables_version: Optional[int] = None
         self._row_sums: Optional[np.ndarray] = None
         self._classes: Optional[List[NodeClass]] = None
         self._class_index: Optional[np.ndarray] = None
         self._class_weight: Optional[np.ndarray] = None
         self._idf_table: Optional[np.ndarray] = None
 
+    def _sync(self) -> None:
+        """Drop the per-node tables when the graph grew in place
+        (``TATGraph.add_tuples`` bumps ``Adjacency.version``)."""
+        version = self.graph.adjacency.version
+        if version != self._tables_version:
+            self._row_sums = None
+            self._class_index = None
+            self._tables_version = version
+
     def _weighted_degrees(self) -> np.ndarray:
         """Per-node total edge weight (the diffusion normalizer), cached."""
+        self._sync()
         if self._row_sums is None:
             matrix = self.graph.adjacency.matrix
             self._row_sums = np.asarray(matrix.sum(axis=1)).ravel()
@@ -121,6 +132,7 @@ class ContextualPreference:
         ingredients materialized once per graph so context weighting runs
         as array arithmetic instead of per-node python calls.
         """
+        self._sync()
         if self._class_index is None:
             registry = self.graph.registry
             n = self.graph.n_nodes
@@ -229,7 +241,7 @@ class ContextualPreference:
             if not neighbors.size:
                 break
             hop_mass = np.bincount(neighbors, weights=contrib, minlength=n)
-            new_ids = np.unique(neighbors)
+            new_ids = np.flatnonzero(np.bincount(neighbors, minlength=n))
             mass[new_ids] += hop_mass[new_ids]
             visited[new_ids] = True
             reached.append(new_ids)
@@ -241,15 +253,24 @@ class ContextualPreference:
         all_ids = np.concatenate(reached)
         return all_ids, mass[all_ids]
 
-    def context_entries(self, node_id: int) -> List[ContextEntry]:
-        """The weighted context of *node_id*, top-k per field."""
+    def context_arrays(
+        self, node_id: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The weighted context of *node_id*, top-k per field, as arrays.
+
+        Returns ``(ids, field_weights, node_weights)`` of the kept
+        context nodes, grouped by field and ranked by (-weight, node id)
+        inside each field; a node's weight is
+        ``field_weights * node_weights``.
+        """
         ids, mass = self._diffuse(node_id)
         if not ids.size:
-            return []
-        classes, class_index, class_weight, idf = self._node_tables()
+            return ids, np.empty(0), np.empty(0)
+        _classes, class_index, class_weight, idf = self._node_tables()
         fields = class_index[ids]
+        field_weight = class_weight[fields]
         node_weight = mass * idf[ids]
-        weight = class_weight[fields] * node_weight
+        weight = field_weight * node_weight
         # group by field, rank by (-weight, node_id) inside each group,
         # keep the top_per_field head of every group
         order = np.lexsort((ids, -weight, fields))
@@ -260,36 +281,49 @@ class ContextualPreference:
         group_sizes = np.diff(np.concatenate((group_starts, [order.size])))
         rank = np.arange(order.size) - np.repeat(group_starts, group_sizes)
         kept = order[rank < self.top_per_field]
+        return ids[kept], field_weight[kept], node_weight[kept]
+
+    def context_entries(self, node_id: int) -> List[ContextEntry]:
+        """The weighted context of *node_id*, top-k per field."""
+        ids, field_weights, node_weights = self.context_arrays(node_id)
         return [
             ContextEntry(
-                node_id=int(ids[i]),
-                field=classes[fields[i]],
-                field_weight=float(class_weight[fields[i]]),
-                node_weight=float(node_weight[i]),
+                node_id=ctx_id,
+                field=self.graph.class_of(ctx_id),
+                field_weight=field_weight,
+                node_weight=node_weight,
             )
-            for i in kept
+            for ctx_id, field_weight, node_weight in zip(
+                ids.tolist(), field_weights.tolist(), node_weights.tolist()
+            )
         ]
 
-    def preference_weights(self, node_id: int) -> Dict[int, float]:
-        """Sparse preference vector {node_id: weight} for the walk restart.
+    def preference_arrays(self, node_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Unnormalized preference vector ``(ids, weights)`` of one node.
 
-        Falls back to the indicator vector when the node has no context
-        (isolated node) so the walk stays well defined.
+        The kept context weights, plus the starting node's
+        ``include_self`` share when set; falls back to the indicator
+        vector when the node has no context (isolated node) so the walk
+        stays well defined.
         """
-        entries = self.context_entries(node_id)
-        if not entries:
-            return {node_id: 1.0}
-        weights: Dict[int, float] = {}
-        for entry in entries:
-            weights[entry.node_id] = weights.get(entry.node_id, 0.0) + entry.weight
-        total = sum(weights.values())
-        if total <= 0:
-            return {node_id: 1.0}
+        ids, field_weights, node_weights = self.context_arrays(node_id)
+        weights = field_weights * node_weights
+        # Python's sum, as the dict form of this vector always took it:
+        # a different summation order would move the low bits of scale
+        total = sum(weights.tolist())
+        if not ids.size or total <= 0:
+            return np.array([node_id], dtype=np.int64), np.array([1.0])
         if self.include_self > 0:
             scale = (1.0 - self.include_self) / total
-            weights = {nid: w * scale for nid, w in weights.items()}
-            weights[node_id] = weights.get(node_id, 0.0) + self.include_self
-        return weights
+            ids = np.append(ids, node_id)
+            weights = np.append(weights * scale, self.include_self)
+        return ids, weights
+
+    def preference_weights(self, node_id: int) -> Dict[int, float]:
+        """Sparse preference vector {node_id: weight} for the walk restart
+        (the dict view of :meth:`preference_arrays`)."""
+        ids, weights = self.preference_arrays(node_id)
+        return dict(zip(ids.tolist(), weights.tolist()))
 
     def preference_matrix(self, node_ids: Sequence[int]) -> np.ndarray:
         """Normalized preference vectors for many nodes, one per column.
@@ -302,9 +336,7 @@ class ContextualPreference:
         n = self.graph.adjacency.matrix.shape[0]
         out = np.zeros((n, len(node_ids)))
         for col, node_id in enumerate(node_ids):
-            weights = self.preference_weights(node_id)
-            ids = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
-            vals = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+            ids, vals = self.preference_arrays(node_id)
             total = vals.sum()
             if total <= 0:
                 raise GraphError(f"node {node_id} has an empty context")

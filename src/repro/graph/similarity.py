@@ -71,6 +71,12 @@ class SimilarityExtractor:
         self.contextual = contextual
         self.idf_readout = idf_readout
         self._cache: Dict[int, np.ndarray] = {}
+        # Readout tables, valid for one Adjacency.version (add_tuples
+        # extends the graph in place and bumps it): the per-node weight
+        # array and each node class's id array, built on first use.
+        self._tables_version: Optional[int] = None
+        self._weights: Optional[np.ndarray] = None
+        self._class_ids: Dict[object, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # core
@@ -78,6 +84,7 @@ class SimilarityExtractor:
 
     def walk_scores(self, node_id: int) -> np.ndarray:
         """Converged walk vector for *node_id* (cached)."""
+        self._sync()
         cached = self._cache.get(node_id)
         if cached is not None:
             return cached
@@ -90,36 +97,74 @@ class SimilarityExtractor:
         self._cache[node_id] = scores
         return scores
 
+    def _sync(self) -> None:
+        """Drop walk vectors and readout tables of an outgrown graph.
+
+        ``TATGraph.add_tuples`` extends the adjacency in place and bumps
+        its version: the cached walks are then too short and the idf
+        readout weights stale, so both are rebuilt on next use.
+        """
+        version = self.graph.adjacency.version
+        if version != self._tables_version:
+            self._cache.clear()
+            self._weights = None
+            self._class_ids = {}
+            self._tables_version = version
+
+    def _weight_table(self) -> np.ndarray:
+        """Per-node readout weight: a term's idf, else 1.0 (cached).
+
+        A walk score times its weight is the Eq 2 similarity value;
+        tuple nodes, and every node with ``idf_readout`` off, weigh 1.0.
+        """
+        self._sync()
+        if self._weights is None:
+            weights = np.ones(self.graph.n_nodes)
+            if self.idf_readout:
+                registry = self.graph.registry
+                for term_id in registry.term_ids():
+                    weights[term_id] = self.graph.index.idf(
+                        registry.node_of(term_id).payload
+                    )
+            self._weights = weights
+        return self._weights
+
+    def _ids_of_class(self, node_id: int) -> np.ndarray:
+        """Ids of every node in *node_id*'s class, as an array (cached)."""
+        self._sync()
+        node_class = self.graph.class_of(node_id)
+        ids = self._class_ids.get(node_class)
+        if ids is None:
+            ids = np.asarray(
+                self.graph.registry.ids_of_class(node_class), dtype=np.int64
+            )
+            self._class_ids[node_class] = ids
+        return ids
+
     def similar_nodes(self, node_id: int, top_n: int = 10) -> List[SimilarNode]:
         """Top-*top_n* same-class nodes by walk score, excluding the start.
 
         This is exactly Algorithm 1 followed by the same-class filter of
-        Section IV-B.1.
+        Section IV-B.1: the class's positive scores times their readout
+        weights, ranked by (-score, node id).
         """
         if top_n < 1:
             raise GraphError("top_n must be >= 1")
         scores = self.walk_scores(node_id)
-        candidates = [
-            SimilarNode(other, self._readout(other, float(scores[other])))
-            for other in self.graph.same_class_ids(node_id)
-            if other != node_id and scores[other] > 0.0
-        ]
-        candidates.sort(key=lambda s: (-s.score, s.node_id))
-        return candidates[:top_n]
+        ids = self._ids_of_class(node_id)
+        vals = scores[ids]
+        keep = (vals > 0.0) & (ids != node_id)
+        ids = ids[keep]
+        vals = vals[keep] * self._weight_table()[ids]
+        order = np.lexsort((ids, -vals))[:top_n]
+        return [SimilarNode(int(ids[i]), float(vals[i])) for i in order]
 
     def similarity(self, node_a: int, node_b: int) -> float:
         """sim(a, b) per Eq 2: b's converged score in a's biased walk."""
-        scores = self.walk_scores(node_a)
-        return self._readout(node_b, float(scores[node_b]))
-
-    def _readout(self, node_id: int, score: float) -> float:
-        """Apply the idf readout weight to one walk score."""
-        if not self.idf_readout or score <= 0.0:
+        score = float(self.walk_scores(node_a)[node_b])
+        if score <= 0.0:
             return score
-        node = self.graph.node(node_id)
-        if node.text is None:
-            return score
-        return score * self.graph.index.idf(node.payload)
+        return score * float(self._weight_table()[node_b])
 
     # ------------------------------------------------------------------ #
     # text-level convenience
@@ -147,6 +192,7 @@ class SimilarityExtractor:
         extraction amortizes the solve.  Returns ``None`` when every
         requested node is already cached.
         """
+        self._sync()
         pending = [nid for nid in node_ids if nid not in self._cache]
         if not pending:
             return None

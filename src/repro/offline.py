@@ -76,6 +76,15 @@ def _term_key(term: FieldTerm) -> str:
     )
 
 
+def term_keys(graph: TATGraph) -> Dict[int, str]:
+    """Escaped key of every term node of *graph*, by node id."""
+    registry = graph.registry
+    return {
+        node_id: _term_key(registry.node_of(node_id).payload)
+        for node_id in registry.term_ids()
+    }
+
+
 def _split_key(key: str) -> List[str]:
     """Split a term key on unescaped pipes, undoing the escapes."""
     parts: List[str] = []
@@ -171,6 +180,24 @@ class TermRelationStore:
         self._relations[_term_key(term)] = TermRelations(
             similar=[(_term_key(t), s) for t, s in similar],
             closeness={_term_key(t): c for t, c in closeness.items()},
+        )
+
+    def put_rows(
+        self,
+        keys: Dict[int, str],
+        node_id: int,
+        similar: Sequence[SimilarNode],
+        close_row: Sequence[Tuple[int, float]],
+    ) -> None:
+        """Store one term's extractor output, read by node id.
+
+        *keys* maps every term node id to its escaped key (see
+        :func:`term_keys`), so a build escapes each term once rather than
+        once per stored entry.
+        """
+        self._relations[keys[node_id]] = TermRelations(
+            similar=[(keys[s.node_id], s.score) for s in similar],
+            closeness={keys[other]: c for other, c in close_row},
         )
 
     def __len__(self) -> int:
@@ -498,6 +525,7 @@ class OfflinePrecomputer:
 
         start = time.perf_counter()
         batched = hasattr(self.similarity, "batch_walk")
+        keys = term_keys(self.graph)
         done = 0
         with obs.span(
             "precompute.build_store",
@@ -531,18 +559,15 @@ class OfflinePrecomputer:
                                 "iterations", result.iterations
                             )
                     close_rows = self._close_rows(node_ids, workers)
-                    for term, node_id in zip(batch, node_ids):
-                        similar = [
-                            (self.graph.node(s.node_id).payload, s.score)
-                            for s in self.similarity.similar_nodes(
+                    for node_id in node_ids:
+                        store.put_rows(
+                            keys,
+                            node_id,
+                            self.similarity.similar_nodes(
                                 node_id, self.n_similar
-                            )
-                        ]
-                        closeness = {
-                            self.graph.node(other).payload: score
-                            for other, score in close_rows[node_id]
-                        }
-                        store.put(term, similar, closeness)
+                            ),
+                            close_rows[node_id],
+                        )
                         if hasattr(self.similarity, "evict"):
                             self.similarity.evict(node_id)
                         if hasattr(self.closeness, "evict"):
@@ -779,13 +804,10 @@ class DeltaIngestor:
                     ]
                 )
             affected = closeness.affected_sources(sorted(touched))
-            recomputed_keys = {_term_key(t) for t in ingested_terms}
+            keys = term_keys(canonical)
             invalidated = sorted(
-                {
-                    _term_key(canonical.node(nid).payload)
-                    for nid in affected
-                }
-                - recomputed_keys
+                {keys[nid] for nid in affected}
+                - {keys[nid] for nid in node_ids}
             )
             stats.n_invalidated = len(invalidated)
 
@@ -800,20 +822,12 @@ class DeltaIngestor:
                     method=self.walk_method,
                 )
             stats.walk_seconds = time.perf_counter() - t0
-            for term, node_id in zip(ingested_terms, node_ids):
-                similar = [
-                    (canonical.node(s.node_id).payload, s.score)
-                    for s in similarity.similar_nodes(node_id, self.n_similar)
-                ]
+            for node_id in node_ids:
+                similar = similarity.similar_nodes(node_id, self.n_similar)
                 t0 = time.perf_counter()
-                close_row = {
-                    canonical.node(other).payload: score
-                    for other, score in closeness.close_terms(
-                        node_id, self.closeness_top
-                    )
-                }
+                close_row = closeness.close_terms(node_id, self.closeness_top)
                 stats.closeness_seconds += time.perf_counter() - t0
-                delta_store.put(term, similar, close_row)
+                delta_store.put_rows(keys, node_id, similar, close_row)
                 similarity.evict(node_id)
                 closeness.evict(node_id)
 

@@ -626,12 +626,14 @@ class BinaryTermRelationStore(TermRelationStore):
     def __len__(self) -> int:
         return self.manifest["n_terms"]
 
-    def put(self, term, similar, closeness) -> None:
+    def put(self, *_args) -> None:
         """Binary stores are read-only serving artifacts."""
         raise ReproError(
             "binary (v3) term-relation stores are read-only; rebuild with "
             "OfflinePrecomputer.build_store() and write_store_v3()"
         )
+
+    put_rows = put
 
     def build_info(self) -> Dict[str, object]:
         """The manifest's free-form build metadata."""

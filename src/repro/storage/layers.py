@@ -455,9 +455,11 @@ class LayeredTermRelationStore(TermRelationStore):
     def __len__(self) -> int:
         return len(self._keys())
 
-    def put(self, term, similar, closeness) -> None:
+    def put(self, *_args) -> None:
         """Layered stores are read-only; new data arrives as layers."""
         raise ReproError(
             "layered term-relation stores are read-only; ingest new rows "
             "with DeltaIngestor.ingest() or rebuild with compact()"
         )
+
+    put_rows = put

@@ -122,6 +122,32 @@ class TestReformulate:
         assert code == 0
         assert batched == single
 
+    def test_batch_answers_repeated_line_once(self, toy_dir, tmp_path):
+        from repro import obs
+
+        lines = ["probabilistic query", "pattern mining", "probabilistic query"]
+        batch = tmp_path / "queries.txt"
+        batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = ["-k", "2", "--candidates", "5"]
+        singles = "".join(
+            run(["reformulate", "--data", str(toy_dir), *line.split(), *args])[1]
+            for line in lines
+        )
+        code, batched = run([
+            "reformulate", "--data", str(toy_dir), "--batch", str(batch), *args,
+        ])
+        assert code == 0
+        assert batched == singles
+        obs.reset()
+        code, _text = run([
+            "reformulate", "--data", str(toy_dir), "--batch", str(batch),
+            *args, "--trace",
+        ])
+        assert code == 0
+        requests = obs.registry().get("repro_lane_requests_total", lane="hmm")
+        assert requests is not None and requests.value == 2
+        obs.reset()
+
     def test_batch_and_keywords_conflict(self, toy_dir, tmp_path):
         batch = tmp_path / "queries.txt"
         batch.write_text("probabilistic query\n", encoding="utf-8")

@@ -236,6 +236,8 @@ class TestDeltaIngestor:
     def test_layered_store_is_read_only(self, ingested):
         with pytest.raises(ReproError, match="read-only"):
             ingested["layered"].put(("papers", "title", "x"), [], {})
+        with pytest.raises(ReproError, match="read-only"):
+            ingested["layered"].put_rows({}, 0, [], [])
 
     def test_rejects_bad_rows(self, ingested):
         ingestor = ingested["ingestor"]

@@ -103,6 +103,8 @@ class TestRoundtrip:
     def test_put_raises_read_only(self, toy_v3):
         with pytest.raises(ReproError, match="read-only"):
             toy_v3.put(None, [], {})
+        with pytest.raises(ReproError, match="read-only"):
+            toy_v3.put_rows({}, 0, [], [])
 
     def test_build_info_and_blocks(self, toy_store, toy_graph, tmp_path):
         root = write_store_v3(
