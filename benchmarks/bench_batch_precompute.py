@@ -65,7 +65,7 @@ def _batched_build(graph):
         n_similar=N_SIMILAR,
         closeness_top=CLOSENESS_TOP,
     )
-    store = precomputer.build_store(batch_size=128, walk_method="direct")
+    store = precomputer.build_store(batch_size=128)
     return store, precomputer.stats
 
 

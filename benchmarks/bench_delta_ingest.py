@@ -14,11 +14,6 @@ do; the stock 12-topic pool saturates at a few hundred distinct words,
 which would make a 1 % row delta touch >10 % of the vocabulary — a
 generator artifact, not an ingest property.
 
-Also reported: the warm-started power iteration (seeding the iterative
-solver with the pre-ingest fixed point) versus a cold start on the
-extended graph — the iteration savings delta ingest gets when the
-corpus moves only slightly.
-
 Script mode (used by the CI smoke job) runs a smaller corpus, checks the
 bit-identity only, and writes the numbers as JSON::
 
@@ -31,14 +26,11 @@ import shutil
 import tempfile
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.reformulator import ReformulatorConfig
 from repro.data.dblp_synth import SynthConfig, dblp_schema, synthesize_dblp
 from repro.data.topics import Topic
-from repro.graph.context import ContextualPreference
-from repro.graph.randomwalk import RandomWalkEngine
 from repro.graph.tat import TATGraph
 from repro.index.inverted import InvertedIndex
 from repro.live import LiveReformulator
@@ -132,7 +124,7 @@ def _timed_full_build(database, out_dir):
     graph = TATGraph(database, InvertedIndex(database))
     store = OfflinePrecomputer(
         graph, n_similar=N_SIMILAR, closeness_top=CLOSENESS_TOP
-    ).build_store(batch_size=128, walk_method="direct")
+    ).build_store(batch_size=128)
     write_store_v3(
         store, out_dir,
         build_info={"n_similar": N_SIMILAR, "closeness_top": CLOSENESS_TOP},
@@ -140,50 +132,8 @@ def _timed_full_build(database, out_dir):
     return time.perf_counter() - start, graph
 
 
-def _warm_start_stat(base_db, delta_rows):
-    """Iterations saved by seeding the power iteration after an ingest.
-
-    Measured on a *separate* corpus copy so the timing runs above stay
-    undisturbed: solve one term's contextual walk on the base graph,
-    extend the graph in place with the delta rows, then solve the same
-    term's walk on the extended graph cold vs seeded with the padded
-    pre-ingest fixed point.
-    """
-    graph = TATGraph(base_db, InvertedIndex(base_db))
-    probe = probe_queries(delta_rows, n_queries=1)
-    if not probe:
-        return {}
-    term = None
-    for field_term in graph.index.terms():
-        if field_term.text == probe[0][0]:
-            term = field_term
-            break
-    if term is None:
-        return {}
-    nid = graph.term_node_id(term)
-    engine = RandomWalkEngine(graph.adjacency)
-    r0 = ContextualPreference(graph).preference_matrix([nid])
-    before = engine.walk_many_result(r0, method="iterative")
-
-    refs = [
-        base_db.insert(item["table"], dict(item["row"]))
-        for item in delta_rows
-    ]
-    graph.add_tuples(refs)
-    r1 = ContextualPreference(graph).preference_matrix([nid])
-    cold = engine.walk_many_result(r1, method="iterative")
-    seeds = np.zeros_like(r1)
-    seeds[: before.scores.shape[0], :] = before.scores
-    warm = engine.walk_many_result(r1, method="iterative", seeds=seeds)
-    assert np.allclose(warm.scores, cold.scores, atol=1e-8)
-    return {
-        "cold_iterations": cold.iterations,
-        "warm_iterations": warm.iterations,
-    }
-
-
 def run(n_papers=1200, delta_frac=0.01):
-    """Full bench: timings, bit-identity probes, warm-start stat.
+    """Full bench: timings and bit-identity probes.
 
     The stores go to a fresh temporary directory (under ``TMPDIR``),
     removed when the run ends, so concurrent runs never share one.
@@ -202,7 +152,7 @@ def _run_in(tmp_root, n_papers, delta_frac):
 
     base_seconds, _ = _timed_full_build(base_db, base_root)
 
-    ingestor = DeltaIngestor(base_db, base_root, batch_size=128)
+    ingestor = DeltaIngestor(base_db, base_root)
     start = time.perf_counter()
     stats = ingestor.ingest(delta_rows)
     delta_seconds = time.perf_counter() - start
@@ -230,9 +180,6 @@ def _run_in(tmp_root, n_papers, delta_frac):
         if got != want:
             mismatches += 1
 
-    warm_db, warm_rows = split_corpus(n_papers, delta_frac)
-    warm = _warm_start_stat(warm_db, warm_rows)
-
     return {
         "n_papers": n_papers,
         "delta_rows": len(delta_rows),
@@ -244,7 +191,6 @@ def _run_in(tmp_root, n_papers, delta_frac):
         "ratio": round(delta_seconds / full_seconds, 4),
         "probe_queries": len(queries),
         "probe_mismatches": mismatches,
-        **warm,
     }
 
 
@@ -264,18 +210,12 @@ def test_delta_ingest_speed_and_exactness(benchmark):
     print(f"  ratio              : {report['ratio']:8.1%}")
     print(f"  probe bit-identity : {report['probe_queries']} queries, "
           f"{report['probe_mismatches']} mismatches")
-    if "cold_iterations" in report:
-        print(f"  warm-started walk  : {report['warm_iterations']} vs "
-              f"{report['cold_iterations']} cold iterations")
 
     # the acceptance bar of the rework
     assert report["ratio"] < 0.10
     # store-backed top-k over ingested terms == from-scratch merged build
     assert report["probe_queries"] >= 1
     assert report["probe_mismatches"] == 0
-    # seeding from the pre-ingest fixed point never iterates longer
-    if "cold_iterations" in report:
-        assert report["warm_iterations"] <= report["cold_iterations"]
 
 
 def run_smoke(out_path, n_papers=300):
@@ -290,12 +230,7 @@ def run_smoke(out_path, n_papers=300):
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
     print(f"wrote {out_path}")
-    ok = (
-        report["probe_queries"] >= 1
-        and report["probe_mismatches"] == 0
-        and report.get("warm_iterations", 0)
-        <= report.get("cold_iterations", 0)
-    )
+    ok = report["probe_queries"] >= 1 and report["probe_mismatches"] == 0
     return 0 if ok else 1
 
 

@@ -8,7 +8,7 @@ One entry point with subcommands covering the full lifecycle::
     python -m repro.cli similar --data corpus/ probabilistic
     python -m repro.cli close --data corpus/ probabilistic
     python -m repro.cli search --data corpus/ probabilistic query
-    python -m repro.cli precompute --data corpus/ --out store/ --batch-size 128 --workers 2
+    python -m repro.cli precompute --data corpus/ --out store/ --batch-size 128
     python -m repro.cli store migrate --src relations.json --dest store/
     python -m repro.cli store info --store store/
     python -m repro.cli reformulate --data corpus/ --relations store/ probabilistic query
@@ -201,14 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="vocabulary terms solved per batched walk (default 64)",
     )
     precompute.add_argument(
-        "--workers", type=int, default=1,
-        help="threads fanning the closeness BFS within a batch",
-    )
-    precompute.add_argument(
-        "--walk-method", choices=("direct", "iterative"), default="direct",
-        help="batched walk solver (direct = cached sparse LU)",
-    )
-    precompute.add_argument(
         "--progress-every", type=int, default=0,
         help="print progress every N terms (0 = silent)",
     )
@@ -244,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--closeness-top", type=int, default=None,
         help="closeness row length (default: inherited from the store)",
     )
-    ingest.add_argument("--batch-size", type=int, default=64)
     ingest.add_argument(
         "--trace", action="store_true",
         help="print the ingest's span tree after the run",
@@ -421,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument(
         "--store", required=True, help="store directory with delta layers"
     )
-    compact.add_argument("--batch-size", type=int, default=64)
 
     return parser
 
@@ -668,10 +658,7 @@ def cmd_precompute(args, out) -> int:
 
     with obs.enabled(args.trace or obs.is_enabled()):
         store = precomputer.build_store(
-            batch_size=args.batch_size,
-            workers=args.workers,
-            walk_method=args.walk_method,
-            progress=report,
+            batch_size=args.batch_size, progress=report
         )
         if args.trace:
             _print_trace(out)
@@ -681,8 +668,6 @@ def cmd_precompute(args, out) -> int:
         args.out,
         build_info={
             "batch_size": stats.batch_size,
-            "workers": stats.workers,
-            "walk_method": stats.walk_method,
             "terms_per_second": round(stats.terms_per_second, 1),
             "n_similar": args.similar,
             "closeness_top": args.closeness_top,
@@ -897,7 +882,6 @@ def cmd_ingest(args, out) -> int:
         args.store,
         n_similar=args.similar,
         closeness_top=args.closeness_top,
-        batch_size=args.batch_size,
     )
     stats = ingestor.ingest(rows)
     logger.info(
@@ -930,9 +914,7 @@ def cmd_store(args, out) -> int:
 
         database = _load(args)
         replayed = _replay_layers(database, args.store)
-        ingestor = DeltaIngestor(
-            database, args.store, batch_size=args.batch_size
-        )
+        ingestor = DeltaIngestor(database, args.store)
         if replayed == 0:
             logger.info("no delta layers; rebuilding the base in place")
         ingestor.compact()

@@ -94,9 +94,7 @@ def run(
 
         precomputer = OfflinePrecomputer(graph, n_similar=15)
         store_seconds, store = measure(
-            lambda: precomputer.build_store(
-                fields=[title], batch_size=128, walk_method="direct"
-            )
+            lambda: precomputer.build_store(fields=[title], batch_size=128)
         )
 
         stats = graph.stats()

@@ -285,23 +285,12 @@ class ClosenessExtractor:
         return scored[:top_n]
 
     def close_rows(
-        self,
-        node_ids: Sequence[int],
-        top_n: int = 10,
-        keep_cached: bool = True,
+        self, node_ids: Sequence[int], top_n: int = 10
     ) -> Dict[int, List[Tuple[int, float]]]:
-        """Close-term rows for many sources (the offline-stage bulk read).
-
-        With ``keep_cached=False`` each source's reach arrays are evicted
-        after the readout, so whole-vocabulary extraction runs in O(batch)
-        memory instead of O(vocabulary × graph).
-        """
-        rows: Dict[int, List[Tuple[int, float]]] = {}
-        for node_id in node_ids:
-            rows[node_id] = self.close_terms(node_id, top_n)
-            if not keep_cached:
-                self.evict(node_id)
-        return rows
+        """Close-term rows for many sources (the offline-stage bulk read)."""
+        return {
+            node_id: self.close_terms(node_id, top_n) for node_id in node_ids
+        }
 
     def precompute(self, node_ids: List[int]) -> None:
         """Offline stage: warm the cache for a term vocabulary."""

@@ -329,9 +329,9 @@ class ContextualPreference:
         """Normalized preference vectors for many nodes, one per column.
 
         This is the batch input of
-        :meth:`~repro.graph.randomwalk.RandomWalkEngine.walk_many`: the
-        offline stage builds one matrix per vocabulary batch and solves
-        all the contextual walks in it at once.
+        :meth:`~repro.graph.randomwalk.RandomWalkEngine.walk_many_result`:
+        the offline stage builds one matrix per vocabulary batch and
+        solves all the contextual walks in it at once.
         """
         n = self.graph.adjacency.matrix.shape[0]
         out = np.zeros((n, len(node_ids)))

@@ -6,22 +6,21 @@ convergence to the unique fixed point is guaranteed; the engine still
 enforces an iteration budget and raises :class:`ConvergenceError` when the
 budget is exhausted without reaching the tolerance, matching the
 "converges or reaches predefined iteration times" stop rule of
-Algorithm 1.
+Algorithm 1.  Batches of preference vectors (the offline stage) are
+solved exactly instead, through one cached sparse LU of ``I − λT``
+(:meth:`RandomWalkEngine.walk_many_result`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import ConvergenceError, GraphError
 from repro.graph.adjacency import Adjacency
-
-#: Batch solver strategies accepted by :meth:`RandomWalkEngine.walk_many`.
-WALK_METHODS = ("iterative", "direct")
 
 
 @dataclass(frozen=True)
@@ -36,18 +35,16 @@ class WalkResult:
 
 @dataclass(frozen=True)
 class BatchWalkResult:
-    """Converged score columns plus batch diagnostics.
+    """Solved score columns plus batch diagnostics.
 
     ``residual`` is the max per-column L1 residual of one application of
-    Eq 1 at the returned scores — for the direct solver this is a
-    *verified* a-posteriori bound, not an iteration byproduct.
+    Eq 1 at the returned scores — a *verified* a-posteriori bound, not an
+    iteration byproduct.
     """
 
     scores: np.ndarray
-    iterations: int
     residual: float
     converged: bool
-    method: str
 
 
 class RandomWalkEngine:
@@ -192,64 +189,21 @@ class RandomWalkEngine:
         """Convenience: individual walk biased to one node (basic model)."""
         return self.walk(self.indicator_preference(node_id))
 
-    def walk_many(
-        self,
-        preferences: "np.ndarray",
-        method: str = "iterative",
-        seeds: Optional["np.ndarray"] = None,
-    ) -> "np.ndarray":
-        """Solve Eq 1 for many preference vectors simultaneously.
+    def walk_many_result(self, preferences: "np.ndarray") -> BatchWalkResult:
+        """Solve Eq 1 for many preference vectors (one per **column**).
 
-        *preferences* has one preference vector per **column**; the
-        returned array holds the converged score vectors in the same
-        columns.  See :meth:`walk_many_result` for the choice of solver
-        and the diagnostics; this wrapper keeps the array-in/array-out
-        surface the callers and benchmarks use.
+        The fixed point of Eq 1 (with the dangling-mass fix) is the
+        normalized solution of the linear system ``(I − λT)q = r``: one
+        sparse LU factorization — cached on the engine and amortized over
+        the whole vocabulary — turns every batch into per-column
+        triangular solves.  Columns are solved one at a time on purpose:
+        SuperLU's blocked multi-RHS path produces bitwise-different
+        low-order bits depending on how columns are batched together, and
+        solving per column makes every result independent of batch
+        composition — a full-vocabulary build and a delta recompute of a
+        handful of terms produce identical bits.  The reported residual
+        is verified a posteriori with one Eq-1 application.
         """
-        return self.walk_many_result(
-            preferences, method=method, seeds=seeds
-        ).scores
-
-    def walk_many_result(
-        self,
-        preferences: "np.ndarray",
-        method: str = "iterative",
-        seeds: Optional["np.ndarray"] = None,
-    ) -> BatchWalkResult:
-        """Batched Eq-1 solve with diagnostics.
-
-        ``method="iterative"`` runs the power iteration with one sparse
-        matmul per step for the whole batch; columns are *frozen* the
-        iteration they individually converge, so each column's result is
-        identical to what :meth:`walk` returns for it and converged
-        columns stop costing flops.
-
-        ``method="direct"`` exploits that the fixed point of Eq 1 (with
-        the dangling-mass fix) is the normalized solution of the linear
-        system ``(I − λT)q = r``: one sparse LU factorization — cached on
-        the engine and amortized over the whole vocabulary — turns every
-        batch into per-column triangular solves.  Columns are solved one
-        at a time on purpose: SuperLU's blocked multi-RHS path produces
-        bitwise-different low-order bits depending on how columns are
-        batched together, and solving per column makes every result
-        independent of batch composition — a full-vocabulary build and a
-        delta recompute of a handful of terms produce identical bits.
-        The reported residual is verified a posteriori with one Eq-1
-        application.
-
-        ``seeds`` (iterative only) warm-starts the power iteration from
-        the given columns — e.g. the previous epoch's converged vectors
-        after a small corpus delta — instead of from the restart
-        distribution.  Iteration counts drop with seed quality, but the
-        iterate *path* differs from a cold start, so warm-started results
-        match cold-started ones only up to the convergence tolerance; the
-        exactness-critical offline path uses ``direct`` instead.  The
-        direct solver ignores seeds (it is already exact).
-        """
-        if method not in WALK_METHODS:
-            raise GraphError(
-                f"walk method must be one of {WALK_METHODS}, got {method!r}"
-            )
         n = self.adjacency.n_nodes
         if preferences.ndim != 2 or preferences.shape[0] != n:
             raise GraphError(
@@ -258,59 +212,8 @@ class RandomWalkEngine:
         sums = preferences.sum(axis=0)
         if np.any(sums <= 0):
             raise GraphError("every preference column needs positive mass")
-        r = preferences / sums
-        if seeds is not None:
-            if seeds.shape != r.shape:
-                raise GraphError(
-                    f"seeds must match preferences shape {r.shape}, "
-                    f"got {seeds.shape}"
-                )
-            seed_sums = seeds.sum(axis=0)
-            if np.any(seed_sums <= 0):
-                raise GraphError("every seed column needs positive mass")
-            seeds = seeds / seed_sums
         self._sync()
-        if method == "direct":
-            return self._solve_direct(r)
-        return self._iterate_batch(r, seeds=seeds)
-
-    def _iterate_batch(
-        self, r: "np.ndarray", seeds: Optional["np.ndarray"] = None
-    ) -> BatchWalkResult:
-        """Power iteration with per-column convergence freezing."""
-        p = r.copy() if seeds is None else seeds.copy()
-        n_cols = r.shape[1]
-        residuals = np.full(n_cols, np.inf)
-        active = np.arange(n_cols)
-        iterations = 0
-        while active.size and iterations < self.max_iterations:
-            iterations += 1
-            pa = p[:, active]
-            ra = r[:, active]
-            p_next = self.damping * (self._transition @ pa) + (1 - self.damping) * ra
-            # Mass lost through zero-degree columns is redirected to the
-            # restart distribution (dangling-node fix).
-            leaked = 1.0 - p_next.sum(axis=0)
-            mask = leaked > 1e-15
-            if mask.any():
-                p_next[:, mask] += ra[:, mask] * leaked[mask]
-            res = np.abs(p_next - pa).sum(axis=0)
-            p[:, active] = p_next
-            residuals[active] = res
-            active = active[res >= self.tol]
-        converged = not active.size
-        if not converged and self.strict:
-            raise ConvergenceError(
-                f"batched walk did not converge in {self.max_iterations} "
-                "iterations"
-            )
-        return BatchWalkResult(
-            scores=p,
-            iterations=iterations,
-            residual=float(residuals.max()) if n_cols else 0.0,
-            converged=converged,
-            method="iterative",
-        )
+        return self._solve_direct(preferences / sums)
 
     def _factorization(self):
         """Cached sparse LU of ``I − λT`` (one factorization per engine)."""
@@ -364,9 +267,5 @@ class RandomWalkEngine:
                 f"direct walk solve residual {residual:.3e} above tol"
             )
         return BatchWalkResult(
-            scores=p,
-            iterations=0,
-            residual=residual,
-            converged=converged,
-            method="direct",
+            scores=p, residual=residual, converged=converged
         )

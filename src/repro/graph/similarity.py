@@ -179,18 +179,16 @@ class SimilarityExtractor:
             result.append((node.text or str(node), sim.score))
         return result
 
-    def batch_walk(
-        self, node_ids: List[int], method: str = "iterative"
-    ) -> Optional[BatchWalkResult]:
+    def batch_walk(self, node_ids: List[int]) -> Optional[BatchWalkResult]:
         """Solve one batch of walks, fill the cache, return diagnostics.
 
         Preference vectors are built as columns (contextual or indicator)
         and solved together — one
         :meth:`~repro.graph.randomwalk.RandomWalkEngine.walk_many_result`
-        call per batch.  ``method="direct"`` reuses the engine's cached
-        sparse LU factorization, which is how whole-vocabulary offline
-        extraction amortizes the solve.  Returns ``None`` when every
-        requested node is already cached.
+        call per batch, reusing the engine's cached sparse LU
+        factorization, which is how whole-vocabulary offline extraction
+        amortizes the solve.  Returns ``None`` when every requested node
+        is already cached.
         """
         self._sync()
         pending = [nid for nid in node_ids if nid not in self._cache]
@@ -203,17 +201,12 @@ class SimilarityExtractor:
             preferences = np.zeros((n, len(pending)))
             for col, node_id in enumerate(pending):
                 preferences[:, col] = self.engine.indicator_preference(node_id)
-        result = self.engine.walk_many_result(preferences, method=method)
+        result = self.engine.walk_many_result(preferences)
         for col, node_id in enumerate(pending):
             self._cache[node_id] = result.scores[:, col].copy()
         return result
 
-    def precompute(
-        self,
-        node_ids: List[int],
-        batch_size: int = 64,
-        method: str = "iterative",
-    ) -> None:
+    def precompute(self, node_ids: List[int], batch_size: int = 64) -> None:
         """Offline stage: warm the cache for a vocabulary of nodes.
 
         Walks are solved in batches — one batched solve per *batch_size*
@@ -222,7 +215,7 @@ class SimilarityExtractor:
         """
         pending = [nid for nid in node_ids if nid not in self._cache]
         for start in range(0, len(pending), batch_size):
-            self.batch_walk(pending[start:start + batch_size], method=method)
+            self.batch_walk(pending[start:start + batch_size])
 
     def cache_size(self) -> int:
         """Number of cached walk vectors."""

@@ -168,8 +168,8 @@ class LiveReformulator:
         :class:`repro.offline.DeltaIngestor`); the next query rebuilds
         the serving graph and picks the layer up through the layered
         store.  Keyword options are forwarded to the ingestor
-        (``n_similar``, ``closeness_top``, ``batch_size``,
-        ``walk_method``).  Returns the run's
+        (``n_similar``, ``closeness_top``).  A rejected row leaves the
+        database and the layer chain unchanged.  Returns the run's
         :class:`~repro.offline.DeltaIngestStats`.
         """
         if self.relations is None:

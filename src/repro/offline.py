@@ -8,8 +8,8 @@ user would deploy it:
 * :class:`OfflinePrecomputer` walks the vocabulary in **batches** —
   contextual preference vectors are built as columns and solved together
   (one cached sparse-LU factorization amortized over the vocabulary),
-  closeness BFS rows are fanned across a thread pool — and materializes
-  each term's similar-term list and closeness row;
+  then read out with the bulk closeness BFS — and materializes each
+  term's similar-term list and closeness row;
 * :class:`TermRelationStore` holds the materialized relations and
   serves them behind the same ``similar_nodes`` / ``closeness``
   interfaces the online stage consumes; it is persisted as a v3 binary
@@ -23,9 +23,7 @@ a random walk or a BFS at query time.
 from __future__ import annotations
 
 import json
-import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -46,17 +44,15 @@ from repro import obs
 from repro.errors import ReproError
 from repro.graph.closeness import ClosenessExtractor
 from repro.graph.nodes import Node
-from repro.graph.similarity import SimilarNode
+from repro.graph.randomwalk import BatchWalkResult
+from repro.graph.similarity import SimilarityExtractor, SimilarNode
 from repro.graph.tat import TATGraph
 from repro.index.inverted import FieldTerm
 
-logger = logging.getLogger(__name__)
-
 PathLike = Union[str, Path]
 
-#: Solver passed through to the batched walk; "direct" reuses one cached
-#: sparse-LU factorization across every batch of the vocabulary.
-DEFAULT_WALK_METHOD = "direct"
+#: Vocabulary terms per batched walk when the caller names no size.
+BATCH_SIZE = 64
 
 
 def _escape_part(part: str) -> str:
@@ -352,10 +348,7 @@ class PrecomputeStats:
     terms_done: int = 0
     n_batches: int = 0
     batch_size: int = 0
-    workers: int = 0
-    walk_method: str = DEFAULT_WALK_METHOD
     elapsed_seconds: float = 0.0
-    walk_iterations: int = 0
     #: verified per-batch walk residuals (max over the batch's columns)
     batch_residuals: List[float] = field(default_factory=list)
 
@@ -370,6 +363,17 @@ class PrecomputeStats:
     def max_residual(self) -> float:
         """Worst verified walk residual across all batches."""
         return max(self.batch_residuals) if self.batch_residuals else 0.0
+
+
+@dataclass(frozen=True)
+class BatchTimes:
+    """What :meth:`OfflinePrecomputer.store_batch` reports of one batch:
+    the walk diagnostics (None when every walk was cached) and the
+    seconds spent in the batched walk and in the closeness BFS rows."""
+
+    walk: Optional[BatchWalkResult]
+    walk_seconds: float
+    closeness_seconds: float
 
 
 class OfflinePrecomputer:
@@ -394,15 +398,13 @@ class OfflinePrecomputer:
     def __init__(
         self,
         graph: TATGraph,
-        similarity=None,
+        similarity: Optional[SimilarityExtractor] = None,
         closeness: Optional[ClosenessExtractor] = None,
         n_similar: int = 20,
         closeness_top: int = 200,
     ) -> None:
         if n_similar < 1 or closeness_top < 1:
             raise ReproError("n_similar and closeness_top must be >= 1")
-        from repro.graph.similarity import SimilarityExtractor
-
         self.graph = graph
         self.similarity = similarity or SimilarityExtractor(graph)
         self.closeness = closeness or ClosenessExtractor(graph)
@@ -436,65 +438,56 @@ class OfflinePrecomputer:
             closeness={_term_key(t): c for t, c in closeness.items()},
         )
 
-    def _close_rows(
-        self, node_ids: List[int], workers: int
-    ) -> Dict[int, List[Tuple[int, float]]]:
-        """Closeness rows for one batch, fanned across a thread pool.
+    def store_batch(
+        self,
+        store: TermRelationStore,
+        keys: Dict[int, str],
+        node_ids: List[int],
+    ) -> BatchTimes:
+        """Materialize one batch of terms into *store*.
 
-        Each worker's chunk touches disjoint per-source cache entries, so
-        the extractor's dict caches stay consistent under the pool.
+        Solves the batch's walks together (see
+        :meth:`~repro.graph.similarity.SimilarityExtractor.batch_walk`),
+        reads each term's similar list, runs the batch's closeness BFS
+        rows, stores both through :meth:`TermRelationStore.put_rows` and
+        evicts the extractor caches, so memory stays O(batch).
         """
-        if not hasattr(self.closeness, "close_rows"):
-            return {
-                nid: self.closeness.close_terms(nid, self.closeness_top)
-                for nid in node_ids
-            }
-        if workers <= 1 or len(node_ids) <= 1:
-            return self.closeness.close_rows(node_ids, self.closeness_top)
-        chunks = [c for c in (node_ids[i::workers] for i in range(workers)) if c]
-        rows: Dict[int, List[Tuple[int, float]]] = {}
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(self.closeness.close_rows, chunk, self.closeness_top)
-                for chunk in chunks
-            ]
-            for future in futures:
-                rows.update(future.result())
-        return rows
+        t0 = time.perf_counter()
+        result = self.similarity.batch_walk(node_ids)
+        t1 = time.perf_counter()
+        similar = {
+            node_id: self.similarity.similar_nodes(node_id, self.n_similar)
+            for node_id in node_ids
+        }
+        t2 = time.perf_counter()
+        close_rows = self.closeness.close_rows(node_ids, self.closeness_top)
+        t3 = time.perf_counter()
+        for node_id in node_ids:
+            store.put_rows(
+                keys, node_id, similar[node_id], close_rows[node_id]
+            )
+            self.similarity.evict(node_id)
+            self.closeness.evict(node_id)
+        return BatchTimes(result, t1 - t0, t3 - t2)
 
     def build_store(
         self,
         fields: Optional[List[Tuple[str, str]]] = None,
-        progress_every: int = 0,
-        batch_size: int = 64,
-        workers: int = 1,
-        walk_method: str = DEFAULT_WALK_METHOD,
+        batch_size: int = BATCH_SIZE,
         progress: Optional[Callable[[int, int], None]] = None,
     ) -> TermRelationStore:
         """Run the full offline stage and return the populated store.
 
-        The vocabulary is processed in batches of *batch_size* terms:
-        each batch's contextual walks are solved together (see
-        :meth:`~repro.graph.similarity.SimilarityExtractor.batch_walk`)
-        and its closeness BFS rows are fanned across *workers* threads.
-        Extractor caches are evicted as soon as a term's relations are
-        read, so memory stays O(batch), not O(vocabulary).
-
-        *progress* is called as ``progress(done, total)`` after every
-        batch; *progress_every* additionally logs every that-many terms
-        through the module logger.
+        The vocabulary is processed in batches of *batch_size* terms
+        (see :meth:`store_batch`).  *progress* is called as
+        ``progress(done, total)`` after every batch.
         """
         if batch_size < 1:
             raise ReproError("batch_size must be >= 1")
-        if workers < 1:
-            raise ReproError("workers must be >= 1")
         store = TermRelationStore(self.graph)
         vocabulary = self.vocabulary(fields)
         stats = PrecomputeStats(
-            total_terms=len(vocabulary),
-            batch_size=batch_size,
-            workers=workers,
-            walk_method=walk_method,
+            total_terms=len(vocabulary), batch_size=batch_size
         )
         self.stats = stats
 
@@ -509,10 +502,6 @@ class OfflinePrecomputer:
         batches_counter = registry.counter(
             "repro_offline_batches_total", "Precompute batches processed"
         )
-        iterations_counter = registry.counter(
-            "repro_offline_walk_iterations_total",
-            "Batched-walk solver iterations",
-        )
         residual_hist = registry.histogram(
             "repro_offline_walk_residual",
             "Verified max walk residual per batch",
@@ -524,15 +513,11 @@ class OfflinePrecomputer:
         )
 
         start = time.perf_counter()
-        batched = hasattr(self.similarity, "batch_walk")
         keys = term_keys(self.graph)
-        done = 0
         with obs.span(
             "precompute.build_store",
             terms=len(vocabulary),
             batch_size=batch_size,
-            workers=workers,
-            walk_method=walk_method,
         ):
             for lo in range(0, len(vocabulary), batch_size):
                 batch = vocabulary[lo:lo + batch_size]
@@ -543,43 +528,13 @@ class OfflinePrecomputer:
                     node_ids = [
                         self.graph.term_node_id(term) for term in batch
                     ]
-                    if batched:
-                        result = self.similarity.batch_walk(
-                            node_ids, method=walk_method
-                        )
-                        if result is not None:
-                            stats.batch_residuals.append(result.residual)
-                            stats.walk_iterations += result.iterations
-                            iterations_counter.inc(result.iterations)
-                            residual_hist.observe(result.residual)
-                            batch_span.set_attribute(
-                                "residual", result.residual
-                            )
-                            batch_span.set_attribute(
-                                "iterations", result.iterations
-                            )
-                    close_rows = self._close_rows(node_ids, workers)
-                    for node_id in node_ids:
-                        store.put_rows(
-                            keys,
-                            node_id,
-                            self.similarity.similar_nodes(
-                                node_id, self.n_similar
-                            ),
-                            close_rows[node_id],
-                        )
-                        if hasattr(self.similarity, "evict"):
-                            self.similarity.evict(node_id)
-                        if hasattr(self.closeness, "evict"):
-                            self.closeness.evict(node_id)
-                        done += 1
-                        if progress_every and done % progress_every == 0:
-                            logger.info(
-                                "precomputed %d/%d terms",
-                                done, len(vocabulary),
-                            )
+                    walk = self.store_batch(store, keys, node_ids).walk
+                    if walk is not None:
+                        stats.batch_residuals.append(walk.residual)
+                        residual_hist.observe(walk.residual)
+                        batch_span.set_attribute("residual", walk.residual)
                 stats.n_batches += 1
-                stats.terms_done = done
+                stats.terms_done += len(batch)
                 stats.elapsed_seconds = time.perf_counter() - start
                 terms_counter.inc(len(batch))
                 batches_counter.inc()
@@ -587,7 +542,7 @@ class OfflinePrecomputer:
                     time.perf_counter() - batch_start
                 )
                 if progress is not None:
-                    progress(done, len(vocabulary))
+                    progress(stats.terms_done, len(vocabulary))
         return store
 
 
@@ -662,8 +617,6 @@ class DeltaIngestor:
         store_path: PathLike,
         n_similar: Optional[int] = None,
         closeness_top: Optional[int] = None,
-        batch_size: int = 64,
-        walk_method: str = DEFAULT_WALK_METHOD,
     ) -> None:
         from repro.storage import layers as layer_io
         from repro.storage.binary import roll_forward
@@ -704,10 +657,6 @@ class DeltaIngestor:
         self.closeness_top = pick("closeness_top", closeness_top, 200)
         if self.n_similar < 1 or self.closeness_top < 1:
             raise ReproError("n_similar and closeness_top must be >= 1")
-        if batch_size < 1:
-            raise ReproError("batch_size must be >= 1")
-        self.batch_size = batch_size
-        self.walk_method = walk_method
         self.stats = DeltaIngestStats()
 
     @staticmethod
@@ -733,12 +682,13 @@ class DeltaIngestor:
         """Ingest *rows* (``{"table": ..., "row": {...}}``) as one layer.
 
         The rows must not already exist in the database — the ingestor
-        inserts them.  Pass the currently-serving *graph* (built over the
-        same database) to have it extended in place instead of going
-        stale.  Returns the run's :class:`DeltaIngestStats`; the new
+        inserts them, all or none (:meth:`Database.insert_all
+        <repro.storage.database.Database.insert_all>`): a rejected row
+        leaves the database unchanged and writes no layer.  Pass the
+        currently-serving *graph* (built over the same database) to have
+        it extended in place instead of going stale.  Returns the run's :class:`DeltaIngestStats`; the new
         layer is on disk when this returns.
         """
-        from repro.graph.similarity import SimilarityExtractor
         from repro.index.inverted import InvertedIndex
         from repro.storage import layers as layer_io
 
@@ -754,10 +704,9 @@ class DeltaIngestor:
         stats = DeltaIngestStats(n_rows=len(rows))
         self.stats = stats
         with obs.span("ingest.delta", rows=len(rows)):
-            refs = [
-                self.database.insert(item["table"], dict(item["row"]))
-                for item in rows
-            ]
+            refs = self.database.insert_all(
+                [(item["table"], dict(item["row"])) for item in rows]
+            )
             if graph is not None:
                 # keep the caller's serving graph current (dirty set not
                 # needed here: the canonical graph below recomputes it)
@@ -811,25 +760,21 @@ class DeltaIngestor:
             )
             stats.n_invalidated = len(invalidated)
 
-            # exact recompute of the ingested terms (direct solver:
-            # per-column solves make the bits batch-independent)
-            similarity = SimilarityExtractor(canonical)
+            # exact recompute of the ingested terms through build_store's
+            # batch step (per-column solves make the bits batch-independent)
+            precomputer = OfflinePrecomputer(
+                canonical,
+                closeness=closeness,
+                n_similar=self.n_similar,
+                closeness_top=self.closeness_top,
+            )
             delta_store = TermRelationStore(canonical)
-            t0 = time.perf_counter()
-            for lo in range(0, len(node_ids), self.batch_size):
-                similarity.batch_walk(
-                    node_ids[lo:lo + self.batch_size],
-                    method=self.walk_method,
+            for lo in range(0, len(node_ids), BATCH_SIZE):
+                times = precomputer.store_batch(
+                    delta_store, keys, node_ids[lo:lo + BATCH_SIZE]
                 )
-            stats.walk_seconds = time.perf_counter() - t0
-            for node_id in node_ids:
-                similar = similarity.similar_nodes(node_id, self.n_similar)
-                t0 = time.perf_counter()
-                close_row = closeness.close_terms(node_id, self.closeness_top)
-                stats.closeness_seconds += time.perf_counter() - t0
-                delta_store.put_rows(keys, node_id, similar, close_row)
-                similarity.evict(node_id)
-                closeness.evict(node_id)
+                stats.walk_seconds += times.walk_seconds
+                stats.closeness_seconds += times.closeness_seconds
 
             t0 = time.perf_counter()
             epoch = layer_io.latest_epoch(self.store_path) + 1
@@ -842,7 +787,6 @@ class DeltaIngestor:
                 params={
                     "n_similar": self.n_similar,
                     "closeness_top": self.closeness_top,
-                    "walk_method": self.walk_method,
                 },
                 build_info={
                     "delta_epoch": epoch,
@@ -876,12 +820,7 @@ class DeltaIngestor:
         ).set(stats.epoch)
         return stats
 
-    def compact(
-        self,
-        batch_size: Optional[int] = None,
-        workers: int = 1,
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> Path:
+    def compact(self) -> Path:
         """Fold the base and every layer into a fresh base build.
 
         Rebuilds the whole store over the current database (erasing the
@@ -899,11 +838,7 @@ class DeltaIngestor:
             n_similar=self.n_similar,
             closeness_top=self.closeness_top,
         )
-        store = precomputer.build_store(
-            batch_size=batch_size or self.batch_size,
-            walk_method=self.walk_method,
-            progress=progress,
-        )
+        store = precomputer.build_store()
         write_store_v3(
             store,
             self.store_path,
@@ -911,7 +846,6 @@ class DeltaIngestor:
                 "compacted": True,
                 "n_similar": self.n_similar,
                 "closeness_top": self.closeness_top,
-                "walk_method": self.walk_method,
                 "terms": len(store),
             },
         )

@@ -510,18 +510,20 @@ class ReformulationServer:
         """``POST /admin/ingest`` -> fold rows in as one delta layer.
 
         Body: ``{"rows": [{"table": ..., "row": {...}}, ...]}`` plus
-        optional ``n_similar``/``closeness_top``/``batch_size``.  The
-        accepting worker runs the incremental offline stage
+        optional ``n_similar``/``closeness_top``; other keys are ignored.
+        The accepting worker runs the incremental offline stage
         (:class:`repro.offline.DeltaIngestor`) and writes a delta layer
         beside the relation store; sibling pre-fork workers replay the
         layer's rows from the chain on their next metrics-flush tick, so
-        the whole pool converges on the new epoch without a restart.
+        the whole pool converges on the new epoch without a restart.  The
+        rows go in all or none: a rejected row (400) leaves the database
+        and the layer chain unchanged.
         """
         rows = payload.get("rows")
         if not isinstance(rows, list) or not rows:
             raise BadRequestError("rows must be a non-empty list")
         options: Dict[str, Any] = {}
-        for name in ("n_similar", "closeness_top", "batch_size"):
+        for name in ("n_similar", "closeness_top"):
             if name in payload:
                 value = payload[name]
                 if not isinstance(value, int) or isinstance(value, bool):

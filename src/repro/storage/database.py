@@ -8,9 +8,18 @@ the term-augmented tuple graph (Definition 5).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.errors import IntegrityError, UnknownTableError
+from repro.errors import DuplicateKeyError, IntegrityError, UnknownTableError
 from repro.storage.schema import DatabaseSchema, ForeignKey, TableSchema
 from repro.storage.table import Row, Table
 
@@ -80,16 +89,49 @@ class Database:
             self.insert(table_name, row)
         return len(rows)
 
+    def insert_all(self, items: Sequence[Tuple[str, Row]]) -> List[TupleRef]:
+        """Insert ``(table, row)`` pairs in order, all or none.
+
+        Every row is checked before any is inserted: its table exists, it
+        passes the schema, its primary key is new both in the table and
+        within *items*, and (with ``enforce_fk``) each foreign key
+        resolves against the database or an earlier row of *items*.  A
+        rejected batch therefore leaves the database untouched.
+        """
+        pending: Set[TupleRef] = set()
+        for table_name, row in items:
+            table = self.table(table_name)
+            table.schema.validate_row(row)
+            ref: TupleRef = (table_name, row[table.schema.primary_key])
+            if ref[1] in table or ref in pending:
+                raise DuplicateKeyError(
+                    f"table {table_name!r}: duplicate primary key {ref[1]!r}"
+                )
+            if self.enforce_fk:
+                self._check_row_fks(table_name, row, pending)
+            pending.add(ref)
+        return [self.insert(table_name, row) for table_name, row in items]
+
     # ------------------------------------------------------------------ #
     # integrity
     # ------------------------------------------------------------------ #
 
-    def _check_row_fks(self, table_name: str, row: Row) -> None:
+    def _check_row_fks(
+        self,
+        table_name: str,
+        row: Row,
+        pending: AbstractSet[TupleRef] = frozenset(),
+    ) -> None:
+        """Raise unless every FK of *row* has a parent in the database or
+        among the *pending* refs (rows about to be inserted first)."""
         for fk in self._fk_by_table[table_name]:
             value = row.get(fk.column)
             if value is None:
                 continue
-            if value not in self.table(fk.ref_table):
+            if (
+                value not in self.table(fk.ref_table)
+                and (fk.ref_table, value) not in pending
+            ):
                 raise IntegrityError(
                     f"{fk}: value {value!r} has no parent row"
                 )

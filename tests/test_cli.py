@@ -238,8 +238,7 @@ class TestPrecompute:
         code, text = run([
             "precompute", "--data", str(toy_dir),
             "--out", str(store_dir),
-            "--batch-size", "8", "--workers", "2",
-            "--progress-every", "5",
+            "--batch-size", "8", "--progress-every", "5",
         ])
         assert code == 0
         assert "(v3, " in text
@@ -514,6 +513,19 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        ["precompute", "--out", "store", "--workers", "2"],
+        ["precompute", "--out", "store", "--walk-method", "direct"],
+        ["ingest", "--store", "store", "--rows", "r.json",
+         "--batch-size", "8"],
+        ["store", "compact", "--store", "store", "--batch-size", "8"],
+    ], ids=["precompute-workers", "precompute-walk-method",
+            "ingest-batch-size", "compact-batch-size"])
+    def test_removed_offline_flags_are_usage_errors(self, toy_dir, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--data", str(toy_dir)], out=io.StringIO())
+        assert excinfo.value.code == 2
 
 
 class TestServe:

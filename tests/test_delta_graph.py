@@ -216,14 +216,14 @@ class TestDirectSolverBatchInvariance:
             for t in list(small_graph.index.terms())[:12]
         ]
         prefs = sim.preference.preference_matrix(node_ids)
-        full = engine.walk_many_result(prefs, method="direct").scores
+        full = engine.walk_many_result(prefs).scores
         # one column alone
-        alone = engine.walk_many_result(prefs[:, 3:4], method="direct").scores
+        alone = engine.walk_many_result(prefs[:, 3:4]).scores
         assert np.array_equal(full[:, 3], alone[:, 0])
         # a different batch split
         split = np.hstack([
-            engine.walk_many_result(prefs[:, :5], method="direct").scores,
-            engine.walk_many_result(prefs[:, 5:], method="direct").scores,
+            engine.walk_many_result(prefs[:, :5]).scores,
+            engine.walk_many_result(prefs[:, 5:]).scores,
         ])
         assert np.array_equal(full, split)
 
@@ -235,43 +235,12 @@ class TestDirectSolverBatchInvariance:
             for t in list(small_graph.index.terms())[:4]
         ]
         prefs = sim.preference.preference_matrix(node_ids)
-        direct = engine.walk_many_result(prefs, method="direct")
-        iterative = engine.walk_many_result(prefs, method="iterative")
+        direct = engine.walk_many_result(prefs)
         assert direct.converged
-        np.testing.assert_allclose(
-            direct.scores, iterative.scores, atol=5e-9
-        )
-
-
-class TestWarmStart:
-    def test_seeding_with_fixed_point_converges_immediately(self, small_graph):
-        engine = RandomWalkEngine(small_graph.adjacency)
-        sim = SimilarityExtractor(small_graph, engine=engine)
-        node_ids = [
-            small_graph.term_node_id(t)
-            for t in list(small_graph.index.terms())[:8]
-        ]
-        prefs = sim.preference.preference_matrix(node_ids)
-        cold = engine.walk_many_result(prefs, method="iterative")
-        warm = engine.walk_many_result(
-            prefs, method="iterative", seeds=cold.scores
-        )
-        assert warm.converged
-        assert warm.iterations <= 2
-        assert warm.iterations < cold.iterations
-        np.testing.assert_allclose(warm.scores, cold.scores, atol=1e-9)
-
-    def test_seed_validation(self, small_graph):
-        engine = RandomWalkEngine(small_graph.adjacency)
-        n = small_graph.adjacency.n_nodes
-        prefs = np.ones((n, 2)) / n
-        with pytest.raises(GraphError):
-            engine.walk_many_result(
-                prefs, method="iterative", seeds=np.ones((n, 3))
-            )
-        with pytest.raises(GraphError):
-            engine.walk_many_result(
-                prefs, method="iterative", seeds=np.zeros((n, 2))
+        for col in range(prefs.shape[1]):
+            iterative = engine.walk(prefs[:, col])
+            np.testing.assert_allclose(
+                direct.scores[:, col], iterative.scores, atol=5e-9
             )
 
 
@@ -282,9 +251,9 @@ class TestEngineVersionGating:
         engine = RandomWalkEngine(graph.adjacency)
         n = graph.n_nodes
         prefs = np.ones((n, 2)) / n
-        engine.walk_many_result(prefs, method="direct")
+        engine.walk_many_result(prefs)
         lu_first = engine._lu
-        engine.walk_many_result(prefs, method="direct")
+        engine.walk_many_result(prefs)
         assert engine._lu is lu_first  # no refactorization without a delta
 
     def test_refactorizes_after_extend(self):
@@ -292,13 +261,13 @@ class TestEngineVersionGating:
         graph = TATGraph(db, InvertedIndex(db))
         engine = RandomWalkEngine(graph.adjacency)
         n0 = graph.n_nodes
-        engine.walk_many_result(np.ones((n0, 1)) / n0, method="direct")
+        engine.walk_many_result(np.ones((n0, 1)) / n0)
         lu_first = engine._lu
         db.insert("papers", dict(NEW_PAPER))
         graph.add_tuples([("papers", NEW_PAPER["pid"])])
         n1 = graph.n_nodes
         assert n1 > n0
-        result = engine.walk_many_result(np.ones((n1, 1)) / n1, method="direct")
+        result = engine.walk_many_result(np.ones((n1, 1)) / n1)
         assert result.converged
         assert result.scores.shape[0] == n1
         assert engine._lu is not lu_first

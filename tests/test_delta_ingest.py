@@ -67,7 +67,7 @@ def _build_base_store(database, path):
     graph = TATGraph(database, InvertedIndex(database))
     store = OfflinePrecomputer(
         graph, n_similar=N_SIMILAR, closeness_top=CLOSENESS_TOP
-    ).build_store(walk_method="direct")
+    ).build_store()
     return write_store_v3(
         store,
         path,
@@ -80,7 +80,7 @@ def _oracle_store(database):
     graph = TATGraph(database, InvertedIndex(database))
     return graph, OfflinePrecomputer(
         graph, n_similar=N_SIMILAR, closeness_top=CLOSENESS_TOP
-    ).build_store(walk_method="direct")
+    ).build_store()
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +195,12 @@ class TestDeltaIngestor:
         assert stats.n_recomputed > 0
         assert stats.elapsed_seconds > 0
 
+    def test_stats_time_walk_and_closeness(self, ingested):
+        stats = ingested["stats"]
+        assert stats.n_recomputed >= 1
+        assert stats.walk_seconds > 0
+        assert stats.closeness_seconds > 0
+
     def test_load_wraps_layered(self, ingested):
         layered = ingested["layered"]
         assert isinstance(layered, LayeredTermRelationStore)
@@ -261,6 +267,64 @@ class TestDeltaIngestor:
             ingested["db"], ingested["root"], n_similar=3
         )
         assert explicit.n_similar == 3
+
+
+def _bad_batches(database, delta_rows):
+    """Ingest batches that each carry one row the database must reject."""
+    papers = [r for r in delta_rows if r["table"] == "papers"]
+    writes = [r for r in delta_rows if r["table"] == "writes"]
+    author = next(database.table("authors").scan())
+    return {
+        "unknown-table": papers + [{"table": "nosuch", "row": {"x": 1}}],
+        "schema": papers + [
+            {"table": "papers", "row": {"pid": 10 ** 6, "bogus": 1}}
+        ],
+        "pk-in-table": delta_rows + [{"table": "authors", "row": author}],
+        "pk-in-batch": delta_rows + [papers[0]],
+        "fk-to-later-row": writes + papers,
+        "fk-dangling": papers + [{
+            "table": "writes",
+            "row": {"wid": 10 ** 6, "aid": 10 ** 6, "pid": None},
+        }],
+    }
+
+
+BAD_BATCHES = (
+    "unknown-table", "schema", "pk-in-table", "pk-in-batch",
+    "fk-to-later-row", "fk-dangling",
+)
+
+
+class TestRejectedIngest:
+    """A batch with one bad row inserts nothing and writes no layer."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        base_db, delta_rows = _split_corpus(n_held=2, seed=21)
+        root = _build_base_store(base_db, tmp_path_factory.mktemp("s") / "s")
+        return base_db, delta_rows, root
+
+    @pytest.mark.parametrize("case", BAD_BATCHES)
+    def test_rejected_batch_leaves_nothing(self, base, case):
+        database, delta_rows, root = base
+        size = len(database)
+        rows = _bad_batches(database, delta_rows)[case]
+        with pytest.raises(ReproError):
+            DeltaIngestor(database, root).ingest(rows)
+        assert len(database) == size
+        assert layer_io.latest_epoch(root) == 0
+
+    def test_retry_of_the_good_rows_succeeds(self, tmp_path):
+        database, delta_rows = _split_corpus(n_held=2, seed=21)
+        root = _build_base_store(database, tmp_path / "store")
+        size = len(database)
+        with pytest.raises(ReproError, match="nosuch"):
+            DeltaIngestor(database, root).ingest(
+                delta_rows + [{"table": "nosuch", "row": {"x": 1}}]
+            )
+        stats = DeltaIngestor(database, root).ingest(delta_rows)
+        assert stats.epoch == 1
+        assert len(database) == size + len(delta_rows)
 
 
 class TestFailedIngest:

@@ -1,9 +1,9 @@
-"""Tests for batched random walks (walk_many) and batched precompute."""
+"""Tests for batched random walks (walk_many_result) and precompute."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, GraphError
+from repro.errors import GraphError
 from repro.graph.randomwalk import RandomWalkEngine
 from repro.graph.similarity import SimilarityExtractor
 
@@ -17,7 +17,7 @@ class TestWalkMany:
         prefs = np.zeros((9, len(sources)))
         for col, s in enumerate(sources):
             prefs[:, col] = engine.indicator_preference(s)
-        batched = engine.walk_many(prefs)
+        batched = engine.walk_many_result(prefs).scores
         for col, s in enumerate(sources):
             single = engine.individual_walk(s).scores
             assert np.allclose(batched[:, col], single, atol=1e-9)
@@ -25,31 +25,23 @@ class TestWalkMany:
     def test_columns_are_distributions(self):
         engine = RandomWalkEngine(star_graph(6))
         prefs = np.random.RandomState(0).rand(6, 4) + 0.01
-        out = engine.walk_many(prefs)
+        out = engine.walk_many_result(prefs).scores
         assert np.allclose(out.sum(axis=0), 1.0)
         assert (out >= 0).all()
 
     def test_shape_validation(self):
         engine = RandomWalkEngine(line_graph(5))
         with pytest.raises(GraphError):
-            engine.walk_many(np.ones(5))  # 1-d
+            engine.walk_many_result(np.ones(5))  # 1-d
         with pytest.raises(GraphError):
-            engine.walk_many(np.ones((4, 2)))  # wrong node count
+            engine.walk_many_result(np.ones((4, 2)))  # wrong node count
 
     def test_zero_mass_column_rejected(self):
         engine = RandomWalkEngine(line_graph(5))
         prefs = np.ones((5, 2))
         prefs[:, 1] = 0.0
         with pytest.raises(GraphError):
-            engine.walk_many(prefs)
-
-    def test_strict_raises_on_budget(self):
-        engine = RandomWalkEngine(
-            line_graph(9), max_iterations=1, tol=1e-15, strict=True
-        )
-        prefs = np.ones((9, 2))
-        with pytest.raises(ConvergenceError):
-            engine.walk_many(prefs)
+            engine.walk_many_result(prefs)
 
     def test_dangling_column_mass_restored(self):
         from repro.graph.adjacency import AdjacencyBuilder
@@ -59,7 +51,7 @@ class TestWalkMany:
         adj = builder.freeze(3)  # node 2 isolated
         engine = RandomWalkEngine(adj)
         prefs = np.array([[0.5, 0.2], [0.3, 0.3], [0.2, 0.5]])
-        out = engine.walk_many(prefs)
+        out = engine.walk_many_result(prefs).scores
         assert np.allclose(out.sum(axis=0), 1.0)
 
 

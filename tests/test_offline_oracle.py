@@ -72,7 +72,7 @@ class TestSimilarNodes:
             graph, contextual=contextual, idf_readout=idf_readout
         )
         nodes = _start_nodes(graph)
-        extractor.precompute(nodes, batch_size=128, method="direct")
+        extractor.precompute(nodes, batch_size=128)
         whole_class = graph.n_nodes
         for node_id in nodes:
             for top_n in (1, 10, whole_class):

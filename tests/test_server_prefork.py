@@ -371,7 +371,7 @@ class TestPoolIngest:
         graph = TATGraph(database, InvertedIndex(database))
         store = OfflinePrecomputer(
             graph, n_similar=8, closeness_top=30
-        ).build_store(walk_method="direct")
+        ).build_store()
         root = write_store_v3(
             store,
             tmp_path_factory.mktemp("pool-store") / "store",

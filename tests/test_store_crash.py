@@ -67,7 +67,7 @@ def _graph(database):
 def _build(database, n_similar=8, closeness_top=30):
     return OfflinePrecomputer(
         _graph(database), n_similar=n_similar, closeness_top=closeness_top
-    ).build_store(walk_method="direct")
+    ).build_store()
 
 
 def _answers(root, graph):
